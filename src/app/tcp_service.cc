@@ -232,6 +232,9 @@ TcpKvService::stampWalEpochs(uint32_t epoch)
 {
     if (baseOptions_.wal.path.empty())
         return;
+    // Serialized against restartReplica, which replaces handles: a
+    // crashed replica is stamped directly, from this thread.
+    std::lock_guard<std::mutex> admin(adminMutex_);
     for (size_t i = 0; i < replicas_.size(); ++i) {
         auto id = static_cast<NodeId>(i);
         auto stamp = [this, id, epoch] {
@@ -366,11 +369,11 @@ TcpKvService::replicaIsShadow(NodeId id)
     if (!cluster_.running(id))
         return true;
     bool shadow = false;
-    cluster_.runOn(id, [&] {
+    bool ran = cluster_.runOn(id, [&] {
         proto::HermesReplica *h = replicas_[id]->hermes();
         shadow = h != nullptr && h->isShadow();
     });
-    return shadow;
+    return !ran || shadow;
 }
 
 void
@@ -633,9 +636,8 @@ ShardedTcpDeployment::copyKeys(const std::set<Key> &keys, uint32_t from,
     std::vector<Entry> batch;
     {
         // Read phase, under the source's admin lock so a concurrent
-        // restartReplica cannot destroy the handle mid-read. The store
-        // read itself is the seqlocked lock-free path — safe against
-        // the replica's own loop thread writing concurrently.
+        // restartReplica cannot destroy the handle mid-read, and on the
+        // reader's own loop so no write to its store runs concurrently.
         std::lock_guard<std::mutex> admin(src.adminLock());
         NodeId reader = kInvalidNode;
         for (size_t r = 0; r < src.numNodes(); ++r) {
@@ -650,13 +652,16 @@ ShardedTcpDeployment::copyKeys(const std::set<Key> &keys, uint32_t from,
         }
         if (reader == kInvalidNode)
             return; // no operational source right now; caller retries
-        for (Key key : keys) {
-            store::ReadResult r = src.replica(reader).kvStore().read(key);
-            if (!r.found)
-                continue;
-            copied[key] = r.meta.ts;
-            batch.push_back({key, r.value, r.meta.ts, r.meta.flags});
-        }
+        src.cluster().runOn(reader, [&] {
+            for (Key key : keys) {
+                store::ReadResult r =
+                    src.replica(reader).kvStore().read(key);
+                if (!r.found)
+                    continue;
+                copied[key] = r.meta.ts;
+                batch.push_back({key, r.value, r.meta.ts, r.meta.flags});
+            }
+        });
     }
     if (batch.empty())
         return;
@@ -678,7 +683,7 @@ ShardedTcpDeployment::copyKeys(const std::set<Key> &keys, uint32_t from,
     }
 }
 
-std::set<Key>
+std::optional<std::set<Key>>
 ShardedTcpDeployment::verifyMoving(uint32_t from,
                                    const std::vector<bool> &moving,
                                    const std::map<Key, Timestamp> &copied)
@@ -695,45 +700,49 @@ ShardedTcpDeployment::verifyMoving(uint32_t from,
     if (sources.empty())
         return {};
 
+    // Every scan runs on the scanned replica's own loop, so no write to
+    // its store runs concurrently. A source that stops mid-scan proves
+    // nothing: report the pass unverified and let the next one rescan
+    // the survivors.
+    //
     // Fresh manifest: keys can appear during the move (first write to a
     // fresh key in a moving slot), so the scan must not trust the
     // snapshot-time key list.
     std::set<Key> keys;
     for (NodeId id : sources) {
-        src.replica(id).kvStore().forEach(
-            [&](Key key, const store::KeyMeta &, std::string_view) {
-                if (moving[slotOfKey(key)])
-                    keys.insert(key);
-            });
+        bool ran = src.cluster().runOn(id, [&] {
+            src.replica(id).kvStore().forEach(
+                [&](Key key, const store::KeyMeta &, std::string_view) {
+                    if (moving[slotOfKey(key)])
+                        keys.insert(key);
+                });
+        });
+        if (!ran)
+            return std::nullopt;
     }
 
     // A key passes only when it is Valid on EVERY operational source
     // replica (no write mid-commit anywhere — by Hermes' invariant an
     // acknowledged write's value is in every live replica's store, and
     // until its VAL lands somewhere that somewhere is non-Valid) AND
-    // the stored timestamp is exactly the one the transfer last copied.
+    // the timestamp stored there is exactly the one the transfer last
+    // copied.
     std::set<Key> stale;
-    for (Key key : keys) {
-        bool ok = true;
-        for (NodeId id : sources) {
-            store::ReadResult r = src.replica(id).kvStore().read(key);
-            if (r.found
-                    && static_cast<proto::KeyState>(r.meta.state)
-                           != proto::KeyState::Valid) {
-                ok = false;
-                break;
+    for (NodeId id : sources) {
+        bool ran = src.cluster().runOn(id, [&] {
+            for (Key key : keys) {
+                store::ReadResult r = src.replica(id).kvStore().read(key);
+                if (!r.found)
+                    continue;
+                auto it = copied.find(key);
+                if (static_cast<proto::KeyState>(r.meta.state)
+                            != proto::KeyState::Valid
+                        || it == copied.end() || !(it->second == r.meta.ts))
+                    stale.insert(key);
             }
-        }
-        if (ok) {
-            store::ReadResult r =
-                src.replica(sources.front()).kvStore().read(key);
-            auto it = copied.find(key);
-            if (r.found
-                    && (it == copied.end() || !(it->second == r.meta.ts)))
-                ok = false;
-        }
-        if (!ok)
-            stale.insert(key);
+        });
+        if (!ran)
+            return std::nullopt;
     }
     return stale;
 }
@@ -770,11 +779,13 @@ ShardedTcpDeployment::migrateSlots(std::vector<uint32_t> slots,
             auto id = static_cast<NodeId>(r);
             if (!src.replicaRunning(id))
                 continue;
-            src.replica(id).kvStore().forEach(
-                [&](Key key, const store::KeyMeta &, std::string_view) {
-                    if (moving[slotOfKey(key)])
-                        manifest.insert(key);
-                });
+            src.cluster().runOn(id, [&] {
+                src.replica(id).kvStore().forEach(
+                    [&](Key key, const store::KeyMeta &, std::string_view) {
+                        if (moving[slotOfKey(key)])
+                            manifest.insert(key);
+                    });
+            });
         }
     }
     std::map<Key, Timestamp> copied;
@@ -810,9 +821,11 @@ ShardedTcpDeployment::migrateSlots(std::vector<uint32_t> slots,
     for (;;) {
         std::set<Key> dirty = src.takeMigrationDirty();
         copyKeys(dirty, from, to, copied);
-        std::set<Key> stale = verifyMoving(from, moving, copied);
-        copyKeys(stale, from, to, copied);
-        if (dirty.empty() && stale.empty())
+        std::optional<std::set<Key>> stale =
+            verifyMoving(from, moving, copied);
+        if (stale)
+            copyKeys(*stale, from, to, copied);
+        if (dirty.empty() && stale && stale->empty())
             break;
         if (std::chrono::steady_clock::now() > verify_deadline) {
             // A pathological fault schedule kept keys dirty or
@@ -1257,7 +1270,7 @@ KvSessionClient::dial(uint16_t port, int connect_attempts)
         leStore32(hello, net::kHelloMagic);
         leStore32(hello + 4, net::kHelloClient);
         leStore32(hello + 8, requestedCredits_);
-        ok = write(fd, hello, sizeof(hello))
+        ok = send(fd, hello, sizeof(hello), MSG_NOSIGNAL)
              == static_cast<ssize_t>(sizeof(hello));
     }
     if (!ok) {
@@ -1304,16 +1317,20 @@ KvSessionClient::connFor(uint32_t shard)
         return it->second;
     route_.erase(shard);
     if (shard < addrs_.size()) {
+        // A live socket to ANY replica of the shard wins over a dial (the
+        // seed itself, or shards sharing a socket after a map change):
+        // sessions multiplex, never dial a port twice, and a session
+        // seeded at replica r serves r's shard at r — Hermes reads are
+        // local at every replica, so sessions spread the read load.
         for (uint16_t port : addrs_[shard]) {
-            // A connection to that replica may already exist (shards
-            // sharing a socket after a map change, or the seed itself):
-            // sessions multiplex, never dial a port twice.
             for (const ConnPtr &conn : conns_) {
                 if (conn->alive && conn->port == port) {
                     route_[shard] = conn;
                     return conn;
                 }
             }
+        }
+        for (uint16_t port : addrs_[shard]) {
             // Few dial attempts: an advertised address that refuses is
             // a dead replica — fail over to the next one fast.
             if (ConnPtr conn = dial(port, 3)) {
@@ -1383,9 +1400,16 @@ KvSessionClient::issue(PendingOp op)
 void
 KvSessionClient::enqueue(uint64_t token, const ConnPtr &conn)
 {
+    // Send coalescing: an op on an idle connection goes out at once; on
+    // a busy one it waits in tx for the next progress(), which sends
+    // everything queued meanwhile in one send(). A busy connection has
+    // a reply outstanding, and that reply makes the fd readable — so a
+    // caller polling fds() for POLLIN never strands a queued byte.
+    bool idle = conn->inflight == 0 && conn->tx.empty();
     conn->sendq.push_back(token);
     pumpSendq(conn);
-    flushTx(conn);
+    if (idle)
+        flushTx(conn);
 }
 
 void

@@ -141,8 +141,9 @@ class TcpKvService
     /**
      * Serializes admin choreography against each other: restartReplica
      * and the deployment's migration coordinator both hold this while
-     * touching replica handles from outside their loops, so a crash-
-     * restart cannot destroy a handle mid-snapshot-read.
+     * they drive replica handles (the coordinator's store scans run on
+     * each replica's loop through runOn), so a crash-restart cannot
+     * destroy a handle mid-snapshot-read.
      */
     std::mutex &adminLock() { return adminMutex_; }
 
@@ -332,12 +333,13 @@ class ShardedTcpDeployment
     /**
      * Verification scan: keys in @p moving slots that are non-Valid on
      * some live operational source replica, or whose store timestamp
-     * disagrees with the last copy — i.e. committed writes the transfer
-     * has not carried over yet. Empty = safe to cut over.
+     * there disagrees with the last copy — i.e. committed writes the
+     * transfer has not carried over yet. Empty = safe to cut over;
+     * nullopt = a source stopped mid-scan, so the pass proves nothing.
      */
-    std::set<Key> verifyMoving(uint32_t from,
-                               const std::vector<bool> &moving,
-                               const std::map<Key, Timestamp> &copied);
+    std::optional<std::set<Key>>
+    verifyMoving(uint32_t from, const std::vector<bool> &moving,
+                 const std::map<Key, Timestamp> &copied);
 
     Protocol protocol_;
     ReplicaOptions baseOptions_;
@@ -528,13 +530,25 @@ class KvSessionClient
 
     bool connected() const;
 
-    /** Issue ops without blocking; the token redeems the result. */
+    /**
+     * Issue ops without blocking; the token redeems the result.
+     *
+     * Routing: the op goes to a live socket the session already holds
+     * to any replica of the key's shard (a session seeded at replica r
+     * serves r's shard at r); with none, the shard's addresses are
+     * dialed in order. Sending: on an idle connection (nothing in
+     * flight, nothing buffered) the op is sent at once; on a busy one
+     * it is buffered and leaves with the next progress(), coalesced
+     * with every other op issued meanwhile into one send().
+     */
     uint64_t readAsync(Key key, DurationNs timeout = 5_s);
     uint64_t writeAsync(Key key, Value value, DurationNs timeout = 5_s);
     uint64_t casAsync(Key key, Value expected, Value desired,
                       DurationNs timeout = 5_s);
 
-    /** Pump every socket once; never blocks. */
+    /** Pump every socket once; never blocks. Sends each connection's
+     *  buffered ops in one send(), reads and completes every reply that
+     *  arrived, and expires ops past their deadline. */
     void progress();
 
     /** progress() and report whether @p token has completed. */
@@ -569,8 +583,14 @@ class KvSessionClient
         adoptMap(reply);
     }
 
-    /** Every live socket fd — for an external epoll/poll loop driving
-     *  many sessions (call progress() on readiness). */
+    /**
+     * Every live socket fd — for an external epoll/poll loop driving
+     * many sessions (call progress() on readiness). Polling for POLLIN
+     * alone is enough: a connection with unsent bytes always has a
+     * reply outstanding, and that reply makes its fd readable. The set
+     * changes as the session dials or drops sockets; re-read it each
+     * time the loop blocks.
+     */
     std::vector<int> fds() const;
 
     /**

@@ -16,6 +16,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "common/types.hh"
@@ -63,11 +64,17 @@ struct Timestamp
         return {version + 1, coordinator};
     }
 
-    /** Human-readable "[v,cid]" form for traces and test failures. */
+    /**
+     * Human-readable "[v,cid]" form for traces and test failures.
+     * Formatted in one snprintf: GCC 12 at -O3 reports a false
+     * -Wrestrict on the inlined `"[" + std::to_string(...)` chain.
+     */
     std::string
     toString() const
     {
-        return "[" + std::to_string(version) + "," + std::to_string(cid) + "]";
+        char buf[2 + 2 * 10 + 2]; // "[", u32, ",", u32, "]", NUL
+        int n = std::snprintf(buf, sizeof(buf), "[%u,%u]", version, cid);
+        return std::string(buf, static_cast<size_t>(n));
     }
 };
 

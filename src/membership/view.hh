@@ -57,13 +57,21 @@ struct MembershipView
         return next;
     }
 
+    /** "e<epoch>{n0,n1,...}". Built by appending: GCC 12 at -O3 reports
+     *  a false -Wrestrict on an inlined `"e" + std::to_string(...)`. */
     std::string
     toString() const
     {
-        std::string s = "e" + std::to_string(epoch) + "{";
-        for (size_t i = 0; i < live.size(); ++i)
-            s += (i ? "," : "") + std::to_string(live[i]);
-        return s + "}";
+        std::string s = "e";
+        s += std::to_string(epoch);
+        s += '{';
+        for (size_t i = 0; i < live.size(); ++i) {
+            if (i)
+                s += ',';
+            s += std::to_string(live[i]);
+        }
+        s += '}';
+        return s;
     }
 };
 

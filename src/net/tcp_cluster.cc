@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <set>
 
 #include "common/logging.hh"
@@ -62,6 +63,10 @@ noteSessionInflight(uint32_t inflight)
                   seen, inflight, std::memory_order_relaxed)) {
     }
 }
+
+/** The NodeLoop whose event-loop thread this is (null off-loop): what
+ *  the loop-thread-only entry points assert against. */
+thread_local const void *t_servingLoop = nullptr;
 
 /** A refcounted receive slab: decoded messages alias value bytes inside
  *  it and keep it alive past the transport's recycle (shared_ptr). */
@@ -305,6 +310,7 @@ class TcpCluster::NodeLoop
         timerHeap_.clear();
         timerFns_.clear();
         staged_.clear();
+        resumable_.clear();
         {
             std::lock_guard<std::mutex> guard(injectMutex_);
             injected_.clear();
@@ -350,45 +356,47 @@ class TcpCluster::NodeLoop
         listenFd_ = -1;
     }
 
+    /** Queue @p fn for the loop thread. Dropped when the loop is
+     *  stopped: stopThread() already scrubbed the queue, and a closure
+     *  left there would run after a restart, long after its caller's
+     *  stack frame is gone. */
     void
     post(std::function<void()> fn)
     {
         {
             std::lock_guard<std::mutex> guard(injectMutex_);
+            if (stop_.load())
+                return;
             injected_.push_back(std::move(fn));
         }
         wake();
     }
 
-    void
+    /** @return whether @p fn ran: it does not on a stopped loop. */
+    bool
     runOnAndWait(std::function<void()> fn)
     {
-        if (std::this_thread::get_id() == thread_.get_id()) {
+        if (onLoopThread()) {
             fn(); // already on the loop; run inline to avoid self-deadlock
-            return;
+            return true;
         }
-        // The sync state is shared, not stack-local: a spuriously woken
-        // waiter can observe `done`, return, and unwind while the loop
-        // thread is still inside notify_one() — the closure's reference
-        // keeps the cv/mutex alive through that window.
-        struct SyncState
-        {
-            std::mutex m;
-            std::condition_variable cv;
-            bool done = false;
-        };
-        auto state = std::make_shared<SyncState>();
-        post([state, fn = std::move(fn)] {
+        // The promise resolves when fn has run, or breaks when a stopped
+        // loop drops the closure unrun (post() refused it, or
+        // stopThread() scrubbed the queue). Never earlier: a closure
+        // already in the loop's batch may still run, and fn references
+        // the caller's frame.
+        auto ran = std::make_shared<std::promise<void>>();
+        std::future<void> done = ran->get_future();
+        post([ran, fn = std::move(fn)] {
             fn();
-            {
-                std::lock_guard<std::mutex> guard(state->m);
-                state->done = true;
-            }
-            state->cv.notify_one();
+            ran->set_value();
         });
-        std::unique_lock<std::mutex> lock(state->m);
-        state->cv.wait(lock,
-                       [&] { return state->done || stop_.load(); });
+        try {
+            done.get();
+            return true;
+        } catch (const std::future_error &) {
+            return false; // broken promise: fn never ran
+        }
     }
 
     Node *node = nullptr;
@@ -396,42 +404,59 @@ class TcpCluster::NodeLoop
 
     LoopEnv &env() { return env_; }
 
+    bool onLoopThread() const { return t_servingLoop == this; }
+
+    /**
+     * Loop-thread only: stage a reply for this iteration's flush and
+     * return the session's credit. A paused session that drops below its
+     * window is resumed at the end of the iteration (resumeSessions),
+     * not from inside the parse whose handler produced this reply.
+     */
     void
     replyToClient(ClientConnId conn_id, FramePtr frame)
     {
-        post([this, conn_id, frame = std::move(frame)] {
-            auto it = clientConns_.find(conn_id);
-            if (it == clientConns_.end())
-                return;
-            int fd = it->second;
-            staged_[fd].push_back(std::move(frame));
-            Conn &conn = conns_[fd];
-            if (conn.inflight > 0)
-                --conn.inflight;
-            if (conn.paused && conn.inflight < conn.sessionCredits)
-                resumeSession(fd);
-        });
+        hermes_assert(onLoopThread());
+        auto it = clientConns_.find(conn_id);
+        if (it == clientConns_.end())
+            return;
+        int fd = it->second;
+        staged_[fd].push_back(std::move(frame));
+        Conn &conn = conns_.at(fd);
+        if (conn.inflight > 0)
+            --conn.inflight;
+        if (conn.paused && conn.inflight < conn.sessionCredits)
+            resumable_.push_back(fd);
     }
 
-    /** Replies drained a paused session below its window: read again,
+    /** Replies drained paused sessions below their window: read again,
      *  starting with whatever was left buffered at pause time. */
     void
-    resumeSession(int fd)
+    resumeSessions()
     {
-        auto it = conns_.find(fd);
-        if (it == conns_.end())
-            return;
-        it->second.paused = false;
-        syncInterest(it->second);
-        // Frames already buffered never generate another poll event
-        // (level-triggering watches the socket, not our slab): parse
-        // them now. This may legitimately re-pause the session.
-        parseRx(fd);
+        while (!resumable_.empty()) {
+            std::vector<int> fds;
+            fds.swap(resumable_);
+            for (int fd : fds) {
+                // Re-check: the fd may have closed (or been re-used) or
+                // already resumed since it was queued.
+                auto it = conns_.find(fd);
+                if (it == conns_.end() || !it->second.paused)
+                    continue;
+                it->second.paused = false;
+                syncInterest(it->second);
+                // Frames already buffered never generate another poll
+                // event (level-triggering watches the socket, not our
+                // slab): parse them now. This may legitimately re-pause
+                // the session, or queue further resumes.
+                parseRx(fd);
+            }
+        }
     }
 
     uint32_t
     sessionCreditsOf(ClientConnId conn_id) const
     {
+        hermes_assert(onLoopThread());
         auto it = clientConns_.find(conn_id);
         if (it == clientConns_.end())
             return 0;
@@ -807,7 +832,13 @@ class TcpCluster::NodeLoop
             total += 4 + msg_len;
         }
 
-        ssize_t n = writev(conn.fd, iov.data(), static_cast<int>(iov.size()));
+        // sendmsg, not writev: the same gather write, plus MSG_NOSIGNAL —
+        // a peer that crashed mid-burst must surface EPIPE here, not
+        // kill the process with SIGPIPE.
+        msghdr msg{};
+        msg.msg_iov = iov.data();
+        msg.msg_iovlen = iov.size();
+        ssize_t n = sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             // Keep the frame queued on any failure (EAGAIN, EINTR, ...):
             // poll retries it once writable, and a genuinely broken
@@ -838,7 +869,8 @@ class TcpCluster::NodeLoop
     tryWrite(Conn &conn)
     {
         while (!conn.tx.empty()) {
-            ssize_t n = write(conn.fd, conn.tx.data(), conn.tx.size());
+            ssize_t n = send(conn.fd, conn.tx.data(), conn.tx.size(),
+                             MSG_NOSIGNAL);
             if (n > 0) {
                 conn.tx.erase(conn.tx.begin(), conn.tx.begin() + n);
             } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -1122,6 +1154,7 @@ class TcpCluster::NodeLoop
     void
     run()
     {
+        t_servingLoop = this;
 #ifdef __linux__
         // On a restart the epoll instance (wake pipe + listener already
         // registered) survives from the previous life: reuse it.
@@ -1160,6 +1193,7 @@ class TcpCluster::NodeLoop
                 fn();
 
             fireDueTimers();
+            resumeSessions();
 
             // Wings opportunistic batching: everything the handlers above
             // produced goes out coalesced, once per loop iteration. The
@@ -1207,6 +1241,7 @@ class TcpCluster::NodeLoop
     std::map<NodeId, int> peerFd_;
     std::map<ClientConnId, int> clientConns_;
     std::map<int, std::vector<FramePtr>> staged_;
+    std::vector<int> resumable_; ///< paused sessions back under window
     ClientConnId nextClientId_ = 1;
 
     std::mutex injectMutex_;
@@ -1287,16 +1322,10 @@ TcpCluster::stop()
     started_ = false;
 }
 
-void
+bool
 TcpCluster::runOn(NodeId id, std::function<void()> fn)
 {
-    loops_.at(id)->runOnAndWait(std::move(fn));
-}
-
-void
-TcpCluster::post(NodeId id, std::function<void()> fn)
-{
-    loops_.at(id)->post(std::move(fn));
+    return loops_.at(id)->runOnAndWait(std::move(fn));
 }
 
 void
@@ -1452,8 +1481,8 @@ TcpClient::call(const Message &request, DurationNs timeout,
     encodeBatchFrame(batch, frame);
     size_t written = 0;
     while (written < frame.size()) {
-        ssize_t n = write(fd_, frame.data() + written,
-                          frame.size() - written);
+        ssize_t n = send(fd_, frame.data() + written,
+                         frame.size() - written, MSG_NOSIGNAL);
         if (n <= 0)
             return nullptr;
         written += n;

@@ -29,7 +29,6 @@
 #define HERMES_NET_TCP_CLUSTER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -181,13 +180,19 @@ class TcpCluster
     /**
      * Run @p fn on node @p id 's event-loop thread and wait for it. The
      * only safe way to touch a protocol object from outside its loop.
+     * @return false when the loop is stopped (crashed), or stops before
+     *         reaching @p fn: then @p fn never runs.
      */
-    void runOn(NodeId id, std::function<void()> fn);
+    bool runOn(NodeId id, std::function<void()> fn);
 
-    /** Fire-and-forget variant of runOn(). */
-    void post(NodeId id, std::function<void()> fn);
-
-    /** Send a reply frame to an external client connection of node. */
+    /**
+     * Send a reply frame to an external client connection of node @p id.
+     * Loop-thread only (asserted): call it from the ClientFrameHandler or
+     * a protocol completion on node @p id 's loop, or through runOn().
+     * The frame is staged directly for this loop iteration's flush, and
+     * returns the session's credit; a session that this brings back
+     * under its window resumes at the end of the iteration.
+     */
     void replyToClient(NodeId id, ClientConnId conn, const Message &msg);
 
     /** Simulate a crash: kill node @p id 's loop and close its sockets. */
@@ -227,9 +232,9 @@ class TcpCluster
 
     /**
      * Granted credit window of an external-client session. Loop-thread
-     * only: call from inside the ClientFrameHandler (which runs on the
-     * serving node's loop) — it is how the service tells a session its
-     * grant in the HELLO reply.
+     * only (asserted): call from inside the ClientFrameHandler (which
+     * runs on the serving node's loop) — it is how the service tells a
+     * session its grant in the HELLO reply.
      */
     uint32_t sessionCreditsOf(NodeId id, ClientConnId conn) const;
 

@@ -6,7 +6,10 @@
  * credit windows negotiated at HELLO and ENFORCED server-side (an
  * over-limit session's socket stops being read until replies drain),
  * the poll() portability fallback, the poll-boundary peer-credit flush,
- * and a 1000-session deployment-wide run — mixed ops, one shard crashed
+ * session routing (a session serves each shard at the replica it already
+ * holds a socket to, failing over in address order), the send-coalescing
+ * contract under readiness-only polling, and a 1000-session
+ * deployment-wide run — mixed ops, one shard crashed
  * mid-run — whose shard-tagged history passes the linearizability
  * checker.
  */
@@ -37,7 +40,8 @@ using app::ReplicaOptions;
 using app::ShardedTcpDeployment;
 using app::TcpKvService;
 
-// Port lane: clear of test_tcp (21xxx) and test_sharded_tcp (23xxx).
+// Port lane: clear of test_tcp (21xxx), test_tcp_recovery (22xxx) and
+// test_sharded_tcp (23xxx).
 constexpr uint16_t kBasePort = 24000;
 
 ReplicaOptions
@@ -204,6 +208,150 @@ TEST(Sessions, CreditReturnsFlushOnQuietLinks)
     EXPECT_GT(net::TcpCluster::creditReturnsFlushed(), 0u)
         << "quiet links returned credits some other way than the "
            "poll-boundary flush this test pins down";
+}
+
+TEST(Sessions, EachSessionServesAtItsSeedReplica)
+{
+    // Hermes reads are local at every replica, so a session seeded at
+    // replica r must serve its shard at r rather than dial the shard's
+    // first address: three sessions seeded one at each replica of an
+    // S=1x3 group spread their reads over all three. Then one seed
+    // replica crashes, and its session must fail over to another
+    // replica of the shard and keep completing ops there.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 96;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+
+    constexpr int kReads = 200;
+    std::vector<std::unique_ptr<KvSessionClient>> sessions;
+    for (NodeId r = 0; r < 3; ++r) {
+        sessions.push_back(
+            std::make_unique<KvSessionClient>(service.portOf(r)));
+        ASSERT_TRUE(sessions.back()->connected());
+    }
+    auto wrote = sessions[0]->wait(sessions[0]->writeAsync(3, "before"));
+    ASSERT_TRUE(wrote.has_value() && wrote->completed);
+    for (auto &session : sessions) {
+        for (int i = 0; i < kReads; ++i) {
+            auto result = session->wait(session->readAsync(1 + i % 16));
+            ASSERT_TRUE(result.has_value() && result->completed);
+        }
+    }
+    for (auto &session : sessions)
+        EXPECT_EQ(session->fds().size(), 1u)
+            << "a session dialed a second replica of its only shard";
+
+    // Crash replica 2. The crash closes its sockets, so the session
+    // seeded there sees EOF and drops the connection.
+    service.crash(2);
+    KvSessionClient &orphan = *sessions[2];
+    TimeNs deadline = wallNowNs() + 5_s;
+    while (orphan.connected() && wallNowNs() < deadline) {
+        std::vector<pollfd> pfds;
+        for (int fd : orphan.fds())
+            pfds.push_back(pollfd{fd, POLLIN, 0});
+        poll(pfds.data(), pfds.size(), 10);
+        orphan.progress();
+    }
+    ASSERT_FALSE(orphan.connected()) << "the crashed seed never hung up";
+
+    // With no live socket to the shard, the next ops dial its addresses
+    // in order and complete at a survivor. (Reads only: without the RM
+    // agent no view change excludes the crashed replica, so a write
+    // would wait for its ACK.)
+    for (int i = 0; i < kReads; ++i) {
+        Key key = 1 + i % 16;
+        auto result = orphan.wait(orphan.readAsync(key));
+        ASSERT_TRUE(result.has_value() && result->completed)
+            << "read " << i << " after the fail-over did not complete";
+        EXPECT_EQ(result->value, key == 3 ? "before" : "");
+    }
+    EXPECT_EQ(orphan.fds().size(), 1u);
+
+    service.stop();
+    uint64_t reads[3];
+    for (NodeId r = 0; r < 3; ++r) {
+        reads[r] = service.replica(r).hermes()->stats().readsCompleted;
+        EXPECT_GE(reads[r], static_cast<uint64_t>(kReads))
+            << "replica " << r << " served too few of its session's reads";
+    }
+    EXPECT_GE(reads[0] + reads[1], static_cast<uint64_t>(3 * kReads))
+        << "the fail-over reads did not land on a survivor";
+}
+
+TEST(Sessions, CoalescedSendsNeverStrandUnderReadinessPolling)
+{
+    // The send-coalescing contract: an op on an idle connection leaves
+    // at once; one on a busy connection waits in the session's buffer
+    // for the next progress(). A caller that polls fds() for POLLIN and
+    // calls progress() only on readiness must therefore never wait on a
+    // byte that was never sent.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 112;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+
+    KvSessionClient session(service.portOf(1));
+    ASSERT_TRUE(session.connected());
+    // Settle the HELLO: its reply precedes this write's on the socket.
+    auto first = session.wait(session.writeAsync(1, "v1"));
+    ASSERT_TRUE(first.has_value() && first->completed);
+
+    auto pollReadable = [&](int timeout_ms) {
+        std::vector<pollfd> pfds;
+        for (int fd : session.fds())
+            pfds.push_back(pollfd{fd, POLLIN, 0});
+        return poll(pfds.data(), pfds.size(), timeout_ms);
+    };
+
+    // Idle session: the op is on the wire before readAsync returns, so
+    // its reply makes the socket readable with no progress() call.
+    uint64_t token = session.readAsync(1);
+    ASSERT_GT(pollReadable(1000), 0)
+        << "an op on an idle session was not sent";
+    auto got = session.wait(token);
+    ASSERT_TRUE(got.has_value() && got->completed);
+    EXPECT_EQ(got->value, "v1");
+
+    // Depth-16 closed loop driven only by readiness, refilling after
+    // each harvest the way bench_sessions does.
+    constexpr int kDepth = 16;
+    constexpr int kOps = 10000;
+    Rng rng(0x5E55);
+    std::deque<uint64_t> outstanding;
+    int issued = 0, completed = 0, timeouts = 0;
+    auto refill = [&] {
+        while (issued < kOps && outstanding.size() < kDepth) {
+            Key key = 1 + rng.next() % 64;
+            outstanding.push_back(
+                rng.nextBool(0.05)
+                    ? session.writeAsync(key, std::to_string(issued))
+                    : session.readAsync(key));
+            ++issued;
+        }
+    };
+    refill();
+    while (completed < kOps) {
+        if (pollReadable(1000) <= 0) {
+            ++timeouts;
+            break; // an op is stranded: nothing will ever wake us
+        }
+        session.progress();
+        for (auto it = outstanding.begin(); it != outstanding.end();) {
+            auto result = session.take(*it);
+            if (!result) {
+                ++it;
+                continue;
+            }
+            EXPECT_TRUE(result->completed);
+            ++completed;
+            it = outstanding.erase(it);
+        }
+        refill();
+    }
+    EXPECT_EQ(timeouts, 0) << "poll timed out with ops outstanding";
+    EXPECT_EQ(completed, kOps);
 }
 
 TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)
