@@ -697,8 +697,11 @@ ShardedTcpDeployment::verifyMoving(uint32_t from,
         if (src.replicaRunning(id) && !src.replicaIsShadow(id))
             sources.push_back(id);
     }
+    // No operational source: nothing can prove the copy complete, so
+    // the pass is unverified and migrateSlots aborts at its deadline
+    // rather than cut over.
     if (sources.empty())
-        return {};
+        return std::nullopt;
 
     // Every scan runs on the scanned replica's own loop, so no write to
     // its store runs concurrently. A source that stops mid-scan proves
@@ -1401,10 +1404,11 @@ void
 KvSessionClient::enqueue(uint64_t token, const ConnPtr &conn)
 {
     // Send coalescing: an op on an idle connection goes out at once; on
-    // a busy one it waits in tx for the next progress(), which sends
-    // everything queued meanwhile in one send(). A busy connection has
-    // a reply outstanding, and that reply makes the fd readable — so a
-    // caller polling fds() for POLLIN never strands a queued byte.
+    // a busy one it waits in tx for the next progress() or fds(), which
+    // send everything queued meanwhile in one send(). The outstanding
+    // reply is not relied on to flush it — it may never come (a write
+    // stalled on a crashed peer) — so a caller that re-reads fds()
+    // before it blocks never waits on a byte that was not sent.
     bool idle = conn->inflight == 0 && conn->tx.empty();
     conn->sendq.push_back(token);
     pumpSendq(conn);
@@ -1763,12 +1767,16 @@ KvSessionClient::grantedCredits() const
 }
 
 std::vector<int>
-KvSessionClient::fds() const
+KvSessionClient::fds()
 {
+    // Snapshot: a failed send() makes markDead() edit conns_.
+    std::vector<ConnPtr> live = conns_;
     std::vector<int> out;
-    for (const ConnPtr &conn : conns_)
+    for (const ConnPtr &conn : live) {
+        flushTx(conn);
         if (conn->alive)
             out.push_back(conn->fd);
+    }
     return out;
 }
 

@@ -335,7 +335,8 @@ class ShardedTcpDeployment
      * some live operational source replica, or whose store timestamp
      * there disagrees with the last copy — i.e. committed writes the
      * transfer has not carried over yet. Empty = safe to cut over;
-     * nullopt = a source stopped mid-scan, so the pass proves nothing.
+     * nullopt = the pass proves nothing: no source replica is running
+     * and operational, or one stopped mid-scan.
      */
     std::optional<std::set<Key>>
     verifyMoving(uint32_t from, const std::vector<bool> &moving,
@@ -538,8 +539,8 @@ class KvSessionClient
      * serves r's shard at r); with none, the shard's addresses are
      * dialed in order. Sending: on an idle connection (nothing in
      * flight, nothing buffered) the op is sent at once; on a busy one
-     * it is buffered and leaves with the next progress(), coalesced
-     * with every other op issued meanwhile into one send().
+     * it is buffered and leaves with the next progress() or fds() call,
+     * coalesced with every other op issued meanwhile into one send().
      */
     uint64_t readAsync(Key key, DurationNs timeout = 5_s);
     uint64_t writeAsync(Key key, Value value, DurationNs timeout = 5_s);
@@ -548,7 +549,8 @@ class KvSessionClient
 
     /** Pump every socket once; never blocks. Sends each connection's
      *  buffered ops in one send(), reads and completes every reply that
-     *  arrived, and expires ops past their deadline. */
+     *  arrived, and expires ops past their deadline (an expired op's
+     *  reply, should it come, is still read and discarded). */
     void progress();
 
     /** progress() and report whether @p token has completed. */
@@ -584,14 +586,18 @@ class KvSessionClient
     }
 
     /**
-     * Every live socket fd — for an external epoll/poll loop driving
-     * many sessions (call progress() on readiness). Polling for POLLIN
-     * alone is enough: a connection with unsent bytes always has a
-     * reply outstanding, and that reply makes its fd readable. The set
-     * changes as the session dials or drops sockets; re-read it each
-     * time the loop blocks.
+     * Send every buffered op, then return every live socket fd — for an
+     * external epoll/poll loop driving many sessions (call progress() on
+     * readiness). Call it each time the loop is about to block: the set
+     * changes as the session dials or drops sockets, and the send is
+     * what puts ops issued since the last progress() on the wire. Then
+     * polling for POLLIN is enough to learn of every reply: no op waits
+     * unsent while the loop sleeps (short of a full kernel send buffer,
+     * which the server's replies drain). An op whose reply never comes
+     * (a write stalled on a crashed peer) expires only in progress(),
+     * so a loop that must report expiries polls with a finite timeout.
      */
-    std::vector<int> fds() const;
+    std::vector<int> fds();
 
     /**
      * Test/bench hook: believe a window of @p w regardless of what the

@@ -384,10 +384,11 @@ class TcpCluster::NodeLoop
         // loop drops the closure unrun (post() refused it, or
         // stopThread() scrubbed the queue). Never earlier: a closure
         // already in the loop's batch may still run, and fn references
-        // the caller's frame.
+        // the caller's frame. The closure holds the only reference to
+        // the promise, so destroying it unrun is what breaks it.
         auto ran = std::make_shared<std::promise<void>>();
         std::future<void> done = ran->get_future();
-        post([ran, fn = std::move(fn)] {
+        post([ran = std::move(ran), fn = std::move(fn)] {
             fn();
             ran->set_value();
         });

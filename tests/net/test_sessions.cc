@@ -20,6 +20,7 @@
 
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -243,7 +244,11 @@ TEST(Sessions, EachSessionServesAtItsSeedReplica)
             << "a session dialed a second replica of its only shard";
 
     // Crash replica 2. The crash closes its sockets, so the session
-    // seeded there sees EOF and drops the connection.
+    // seeded there sees EOF and drops the connection. Not replica 0: a
+    // crashed replica keeps its listener bound (for restart), so a
+    // fail-over that dials the shard's addresses in order connects to a
+    // crashed replica 0 first and its reads hang until their deadline.
+    // DISABLED_FailOverPastACrashedFirstReplica below pins that defect.
     service.crash(2);
     KvSessionClient &orphan = *sessions[2];
     TimeNs deadline = wallNowNs() + 5_s;
@@ -284,9 +289,9 @@ TEST(Sessions, CoalescedSendsNeverStrandUnderReadinessPolling)
 {
     // The send-coalescing contract: an op on an idle connection leaves
     // at once; one on a busy connection waits in the session's buffer
-    // for the next progress(). A caller that polls fds() for POLLIN and
-    // calls progress() only on readiness must therefore never wait on a
-    // byte that was never sent.
+    // for the next progress() or fds(). A caller that polls fds() for
+    // POLLIN and calls progress() only on readiness must therefore never
+    // wait on a byte that was never sent.
     net::TcpConfig config;
     config.basePort = kBasePort + 112;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
@@ -352,6 +357,85 @@ TEST(Sessions, CoalescedSendsNeverStrandUnderReadinessPolling)
     }
     EXPECT_EQ(timeouts, 0) << "poll timed out with ops outstanding";
     EXPECT_EQ(completed, kOps);
+}
+
+TEST(Sessions, ReadBehindAStalledWriteIsNotStranded)
+{
+    // A write whose reply never comes must not strand the ops issued
+    // after it on the same connection. Without the RM agent no view
+    // change excludes a crashed replica, so a Hermes write waits for its
+    // ACK for good; a read of another key, issued behind it on the busy
+    // connection, must still reach the wire before a readiness-only
+    // poller blocks, and complete locally.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 128;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+
+    KvSessionClient session(service.portOf(1));
+    ASSERT_TRUE(session.connected());
+    auto first = session.wait(session.writeAsync(1, "v1"));
+    ASSERT_TRUE(first.has_value() && first->completed);
+
+    service.crash(2);
+    uint64_t stalled = session.writeAsync(2, "stalled", 30_s);
+    uint64_t read = session.readAsync(1);
+
+    // Poll first: progress() would send the buffered read itself.
+    std::optional<KvSessionClient::OpResult> got;
+    for (int round = 0; round < 20 && !got; ++round) {
+        std::vector<pollfd> pfds;
+        for (int fd : session.fds())
+            pfds.push_back(pollfd{fd, POLLIN, 0});
+        ASSERT_GT(poll(pfds.data(), pfds.size(), 1000), 0)
+            << "poll timed out: the read behind the stalled write was "
+               "never sent";
+        session.progress();
+        got = session.take(read);
+    }
+    ASSERT_TRUE(got.has_value() && got->completed);
+    EXPECT_EQ(got->value, "v1");
+    EXPECT_FALSE(session.done(stalled))
+        << "the write was expected to stall on the crashed replica";
+    service.stop();
+}
+
+TEST(Sessions, DISABLED_FailOverPastACrashedFirstReplica)
+{
+    // Known defect, kept visible until it is fixed: TcpCluster::crash
+    // keeps the crashed replica's listener bound so restart() can reuse
+    // it, so connect() to a crashed replica still succeeds. A session
+    // failing over dials the shard's addresses in order; with replica 0
+    // crashed, that dial lands on the dead listener and the session's
+    // ops hang until their deadline instead of reaching replica 1.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 144;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+
+    KvSessionClient session(service.portOf(0));
+    ASSERT_TRUE(session.connected());
+    auto wrote = session.wait(session.writeAsync(3, "before"));
+    ASSERT_TRUE(wrote.has_value() && wrote->completed);
+
+    service.crash(0);
+    TimeNs deadline = wallNowNs() + 5_s;
+    while (session.connected() && wallNowNs() < deadline) {
+        std::vector<pollfd> pfds;
+        for (int fd : session.fds())
+            pfds.push_back(pollfd{fd, POLLIN, 0});
+        poll(pfds.data(), pfds.size(), 10);
+        session.progress();
+    }
+    ASSERT_FALSE(session.connected()) << "the crashed seed never hung up";
+
+    for (int i = 0; i < 3; ++i) {
+        auto result = session.wait(session.readAsync(3, 1_s));
+        ASSERT_TRUE(result.has_value() && result->completed)
+            << "read " << i << " after the fail-over did not complete";
+        EXPECT_EQ(result->value, "before");
+    }
+    service.stop();
 }
 
 TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <optional>
 #include <thread>
 
 #include "app/cluster.hh"
@@ -375,6 +378,57 @@ TEST(TcpCluster, SurvivesFollowerKill)
     ASSERT_TRUE(client.write(1, "after-kill"));
     KvClient reader(service.portOf(1));
     EXPECT_EQ(reader.read(1).value_or("?"), "after-kill");
+}
+
+TEST(TcpCluster, RunOnReturnsWhenTheLoopCrashes)
+{
+    // runOn's waiter must come back whether or not its closure runs: a
+    // crashed loop refuses new closures and drops queued ones unrun, and
+    // either way runOn reports false instead of blocking for good.
+    net::TcpConfig config;
+    config.basePort = freeBasePort(11);
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+
+    // runOn from a helper thread; nullopt when it has not returned in 5 s.
+    auto runOnWithin = [&](NodeId id) -> std::optional<bool> {
+        auto result = std::make_shared<std::promise<bool>>();
+        std::future<bool> returned = result->get_future();
+        std::thread([&service, id, result] {
+            result->set_value(service.cluster().runOn(id, [] {}));
+        }).detach();
+        if (returned.wait_for(std::chrono::seconds(5))
+                != std::future_status::ready)
+            return std::nullopt;
+        return returned.get();
+    };
+    EXPECT_EQ(runOnWithin(1), std::optional<bool>(true));
+
+    // Calls racing the crash: each one returns, having run or not.
+    std::atomic<bool> stop{false};
+    auto racer_done = std::make_shared<std::promise<void>>();
+    std::future<void> raced = racer_done->get_future();
+    std::thread racer([&service, &stop, racer_done] {
+        while (!stop.load())
+            service.cluster().runOn(2, [] {});
+        racer_done->set_value();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    service.crash(2);
+    stop.store(true);
+    bool racer_returned = raced.wait_for(std::chrono::seconds(5))
+                          == std::future_status::ready;
+    if (!racer_returned) {
+        racer.detach();
+        FAIL() << "a runOn racing crash() never returned";
+    }
+    racer.join();
+
+    ASSERT_EQ(runOnWithin(2), std::optional<bool>(false))
+        << "runOn on a crashed loop must return false, not block";
+    bool called = false;
+    EXPECT_FALSE(service.cluster().runOn(2, [&] { called = true; }));
+    EXPECT_FALSE(called);
 }
 
 } // namespace
