@@ -36,6 +36,7 @@
 #include "app/tcp_service.hh"
 #include "bench_util.hh"
 #include "common/random.hh"
+#include "support/str_cat.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -108,9 +109,8 @@ runTcpShardedPoint(size_t shards, uint16_t base_port,
                 bool completed = false;
                 if (rng.nextDouble() < 0.05) {
                     op.kind = app::HistOp::Kind::Write;
-                    op.arg = "s" + std::to_string(shards) + "c"
-                             + std::to_string(c) + "-"
-                             + std::to_string(histories[c].size());
+                    op.arg = test::strCat("s", shards, "c", c, "-",
+                                          histories[c].size());
                     completed = client.write(op.key, op.arg, 20_s);
                 } else {
                     op.kind = app::HistOp::Kind::Read;

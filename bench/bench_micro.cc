@@ -2,13 +2,17 @@
  * @file
  * google-benchmark microbenchmarks of the substrates: KVS operations,
  * timestamp comparisons, Zipfian sampling, histogram recording, event
- * queue throughput, message serialization. These establish that the
- * simulation substrate itself is not the bottleneck of the figure
- * benchmarks and give per-operation costs for re-calibrating the cost
- * model on new hardware.
+ * queue throughput, message serialization, WAL record checksums and WAL
+ * appends. These establish that the simulation substrate itself is not
+ * the bottleneck of the figure benchmarks and give per-operation costs
+ * for re-calibrating the cost model on new hardware.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "common/histogram.hh"
 #include "common/random.hh"
@@ -16,6 +20,8 @@
 #include "hermes/messages.hh"
 #include "sim/event_queue.hh"
 #include "store/kvs.hh"
+#include "store/wal.hh"
+#include "support/temp_dir.hh"
 
 namespace
 {
@@ -136,6 +142,66 @@ BM_InvEncodeDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_InvEncodeDecode)->Arg(32)->Arg(1024);
+
+using Crc32Kernel = uint32_t (*)(uint32_t, const void *, size_t);
+
+void
+BM_Crc32(benchmark::State &state, Crc32Kernel kernel)
+{
+    std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+    Rng rng(7);
+    for (uint8_t &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            kernel(store::crc32Init(), data.data(), data.size()));
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations())
+                            * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, store::crc32Update)
+    ->Arg(32)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_Crc32, portable, store::crc32UpdatePortable)
+    ->Arg(32)->Arg(512)->Arg(4096);
+
+/**
+ * Wal::append alone: encode, checksum and queue one record. The queue is
+ * drained untimed — the log is closed (flushing it) and reopened empty
+ * every kAppendsPerLog appends — so the file and the queue stay small.
+ */
+void
+BM_WalAppend(benchmark::State &state)
+{
+    constexpr int kAppendsPerLog = 4096;
+    test::TempDir dir("hermes-bench-wal");
+    const std::string path = dir.file("bench.wal");
+    auto open = [&path] {
+        std::remove(path.c_str());
+        store::WalConfig config;
+        config.path = path;
+        config.fsync = store::FsyncPolicy::Never;
+        return std::make_unique<store::Wal>(config);
+    };
+    std::unique_ptr<store::Wal> wal = open();
+    const ValueRef value = ValueRef::copyOf(
+        std::string(static_cast<size_t>(state.range(0)), 'v'));
+    Key key = 0;
+    int queued = 0;
+    for (auto _ : state) {
+        ++key;
+        wal->append(key, Timestamp{static_cast<uint32_t>(key), 1}, 0, value);
+        if (++queued == kAppendsPerLog) {
+            state.PauseTiming();
+            wal.reset();
+            wal = open();
+            queued = 0;
+            state.ResumeTiming();
+        }
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations())
+                            * state.range(0));
+}
+BENCHMARK(BM_WalAppend)->Arg(32)->Arg(512);
 
 } // namespace
 

@@ -32,6 +32,7 @@
 #include "app/tcp_service.hh"
 #include "bench_util.hh"
 #include "common/random.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -206,15 +207,15 @@ runPipelinedPoint(ShardedTcpDeployment &deployment, size_t n_sessions,
             token = s.readAsync(op.key, 30_s);
         } else if (dice < 0.9) {
             op.kind = HistOp::Kind::Write;
-            op.arg = "b" + std::to_string(rng.next() % 100000);
+            op.arg = test::strCat("b", rng.next() % 100000);
             token = s.writeAsync(op.key, op.arg, 30_s);
         } else {
             op.kind = HistOp::Kind::Cas;
-            op.arg = "b" + std::to_string(rng.next() % 100000);
+            op.arg = test::strCat("b", rng.next() % 100000);
             if (rng.nextBool(0.5))
                 op.expected = Value{};
             else
-                op.expected = "alien-" + std::to_string(rng.next());
+                op.expected = test::strCat("alien-", rng.next());
             token = s.casAsync(op.key, op.expected, op.arg, 30_s);
         }
         --quota[c];
@@ -308,11 +309,11 @@ runSyncBaseline(ShardedTcpDeployment &deployment, size_t n_clients,
                     client.read(key, 30_s);
                 else if (dice < 0.9)
                     client.write(key,
-                                 "s" + std::to_string(rng.next() % 100000),
+                                 test::strCat("s", rng.next() % 100000),
                                  30_s);
                 else
                     client.cas(key, Value{},
-                               "s" + std::to_string(rng.next() % 100000),
+                               test::strCat("s", rng.next() % 100000),
                                30_s);
             }
         });
@@ -395,7 +396,7 @@ overdrive()
     for (size_t c = 0; c < kFloodSessions; ++c)
         for (size_t i = 0; i < kFloodOps; ++i)
             sessions[c]->writeAsync(1 + (c * kFloodOps + i) % 2048,
-                                    "od" + std::to_string(i), 120_s);
+                                    test::strCat("od", i), 120_s);
     size_t rss_flooded = currentRssKb();
     size_t completed = 0;
     for (auto &s : sessions)

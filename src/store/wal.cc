@@ -13,65 +13,6 @@
 namespace hermes::store
 {
 
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320)
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-struct Crc32Table
-{
-    uint32_t entries[256];
-
-    Crc32Table()
-    {
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int bit = 0; bit < 8; ++bit)
-                c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-            entries[i] = c;
-        }
-    }
-};
-
-const Crc32Table &
-crcTable()
-{
-    static const Crc32Table table;
-    return table;
-}
-
-} // namespace
-
-uint32_t
-crc32Init()
-{
-    return 0xFFFFFFFFu;
-}
-
-uint32_t
-crc32Update(uint32_t state, const void *data, size_t len)
-{
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    const Crc32Table &table = crcTable();
-    for (size_t i = 0; i < len; ++i)
-        state = table.entries[(state ^ bytes[i]) & 0xFF] ^ (state >> 8);
-    return state;
-}
-
-uint32_t
-crc32Final(uint32_t state)
-{
-    return state ^ 0xFFFFFFFFu;
-}
-
-uint32_t
-crc32(const void *data, size_t len)
-{
-    return crc32Final(crc32Update(crc32Init(), data, len));
-}
-
 const char *
 toString(FsyncPolicy policy)
 {
@@ -248,18 +189,17 @@ Wal::writeQueued()
 {
     if (frame_.staging.empty() && frame_.segments.empty())
         return;
-    std::vector<iovec> iov;
-    iov.reserve(frame_.iovecCount());
-    frame_.forEachRun([&iov](const void *data, size_t len) {
-        iov.push_back(iovec{const_cast<void *>(data), len});
+    iov_.clear();
+    frame_.forEachRun([this](const void *data, size_t len) {
+        iov_.push_back(iovec{const_cast<void *>(data), len});
     });
     // writev caps the vector length (IOV_MAX, commonly 1024); chunk and
     // re-slice partial writes so every queued byte lands exactly once.
     constexpr size_t kMaxIovPerCall = 512;
     size_t idx = 0;
-    while (idx < iov.size()) {
-        size_t count = std::min(iov.size() - idx, kMaxIovPerCall);
-        ssize_t n = ::writev(fd_, iov.data() + idx,
+    while (idx < iov_.size()) {
+        size_t count = std::min(iov_.size() - idx, kMaxIovPerCall);
+        ssize_t n = ::writev(fd_, iov_.data() + idx,
                              static_cast<int>(count));
         if (n < 0) {
             if (errno == EINTR)
@@ -268,14 +208,14 @@ Wal::writeQueued()
                   strerror(errno));
         }
         auto written = static_cast<size_t>(n);
-        while (written > 0 && idx < iov.size()) {
-            if (written >= iov[idx].iov_len) {
-                written -= iov[idx].iov_len;
+        while (written > 0 && idx < iov_.size()) {
+            if (written >= iov_[idx].iov_len) {
+                written -= iov_[idx].iov_len;
                 ++idx;
             } else {
-                iov[idx].iov_base =
-                    static_cast<uint8_t *>(iov[idx].iov_base) + written;
-                iov[idx].iov_len -= written;
+                iov_[idx].iov_base =
+                    static_cast<uint8_t *>(iov_[idx].iov_base) + written;
+                iov_[idx].iov_len -= written;
                 written = 0;
             }
         }

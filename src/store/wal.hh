@@ -70,6 +70,8 @@
 #ifndef HERMES_STORE_WAL_HH
 #define HERMES_STORE_WAL_HH
 
+#include <sys/uio.h>
+
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -82,18 +84,10 @@
 #include "common/timestamp.hh"
 #include "common/types.hh"
 #include "common/value_ref.hh"
+#include "store/crc32.hh"
 
 namespace hermes::store
 {
-
-/** CRC32 (IEEE 802.3, reflected 0xEDB88320) of @p len bytes at @p data. */
-uint32_t crc32(const void *data, size_t len);
-
-/** Incremental CRC32: fold @p len more bytes into a running state.
- *  Start from crc32Init(), finish with crc32Final(). */
-uint32_t crc32Init();
-uint32_t crc32Update(uint32_t state, const void *data, size_t len);
-uint32_t crc32Final(uint32_t state);
 
 /** When (not whether) appended records reach the platters. */
 enum class FsyncPolicy : uint8_t
@@ -267,6 +261,7 @@ class Wal
     uint32_t mapEpoch_ = 1;
     int fd_ = -1;
     WireFrame frame_; ///< group-commit queue (staging + value segments)
+    std::vector<iovec> iov_; ///< writeQueued's gather list, reused
     std::function<void(DurationNs)> chargeFn_;
     std::vector<WalRecord> recovered_;
     WalStats stats_;

@@ -9,6 +9,7 @@
 
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "app/driver.hh"
 #include "app/lin_checker.hh"
 
@@ -124,7 +125,7 @@ TEST(Craq, PipelinedWritesToSameKeyCommitInOrder)
     cluster.start();
     int committed = 0;
     for (int i = 0; i < 10; ++i)
-        cluster.write(0, 5, "v" + std::to_string(i),
+        cluster.write(0, 5, test::strCat("v", i),
                       [&committed] { ++committed; });
     cluster.runFor(20_ms);
     EXPECT_EQ(committed, 10);

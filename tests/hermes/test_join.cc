@@ -9,6 +9,7 @@
 
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "app/driver.hh"
 #include "app/lin_checker.hh"
 
@@ -46,7 +47,7 @@ TEST(HermesJoin, ShadowSyncTransfersWholeStore)
     cluster.start();
     for (Key key = 0; key < 300; ++key) {
         ASSERT_TRUE(cluster.writeSync(static_cast<NodeId>(key % 3), key,
-                                      "v" + std::to_string(key)));
+                                      test::strCat("v", key)));
     }
     // Reliable m-update first, then the stream (§3.4 ordering).
     membership::MembershipView extended{2, {0, 1, 2, 3}};
@@ -63,7 +64,7 @@ TEST(HermesJoin, ShadowSyncTransfersWholeStore)
     EXPECT_FALSE(cluster.replica(3).hermes()->isShadow());
     for (Key key = 0; key < 300; ++key) {
         EXPECT_EQ(cluster.readSync(3, key).value_or("?"),
-                  "v" + std::to_string(key))
+                  test::strCat("v", key))
             << "key " << key;
     }
 }

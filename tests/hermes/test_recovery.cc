@@ -18,6 +18,7 @@
 #include "app/workload.hh"
 #include "store/wal.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "support/temp_dir.hh"
 
 namespace hermes
@@ -49,7 +50,7 @@ TEST(WalRecovery, CrashRestartRecoversAckedWrites)
     cluster.start();
     for (Key key = 0; key < 100; ++key) {
         ASSERT_TRUE(cluster.writeSync(static_cast<NodeId>(key % 3), key,
-                                      "durable-" + std::to_string(key)));
+                                      test::strCat("durable-", key)));
     }
 
     cluster.crashRestartNode(2);
@@ -62,7 +63,7 @@ TEST(WalRecovery, CrashRestartRecoversAckedWrites)
     // ...and serving every pre-crash acknowledged write.
     for (Key key = 0; key < 100; ++key) {
         EXPECT_EQ(cluster.readSync(2, key).value_or("?"),
-                  "durable-" + std::to_string(key))
+                  test::strCat("durable-", key))
             << "key " << key;
         EXPECT_TRUE(cluster.converged(key)) << "key " << key;
     }
@@ -107,7 +108,7 @@ TEST(WalRecovery, WholeGroupColdRestartHealsFromLogsAlone)
         for (Key key = 0; key < 40; ++key) {
             ASSERT_TRUE(cluster.writeSync(static_cast<NodeId>(key % 3),
                                           key,
-                                          "cold-" + std::to_string(key)));
+                                          test::strCat("cold-", key)));
         }
     } // orderly teardown; the logs now hold every acknowledged write
 
@@ -119,7 +120,7 @@ TEST(WalRecovery, WholeGroupColdRestartHealsFromLogsAlone)
         EXPECT_EQ(cluster.readSync(static_cast<NodeId>(key % 3), key,
                                    50_ms)
                       .value_or("?"),
-                  "cold-" + std::to_string(key))
+                  test::strCat("cold-", key))
             << "key " << key;
         EXPECT_TRUE(cluster.converged(key)) << "key " << key;
     }

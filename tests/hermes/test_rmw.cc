@@ -8,6 +8,7 @@
 
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "hermes/key_state.hh"
 
 namespace hermes
@@ -76,7 +77,7 @@ TEST(HermesRmw, ConcurrentCasAtMostOneWins)
     cluster.start();
     int wins = 0, losses = 0;
     for (NodeId n = 0; n < 5; ++n) {
-        cluster.cas(n, 7, "", "winner-" + std::to_string(n),
+        cluster.cas(n, 7, "", test::strCat("winner-", n),
                     [&](bool ok, const Value &) { ok ? ++wins : ++losses; });
     }
     cluster.runFor(50_ms);
