@@ -6,19 +6,42 @@
  * Part two shards the key space: a ShardedTcpDeployment of 2×3 replicas
  * behind an address map negotiated at client HELLO, with a deliberately
  * stale client healing itself through the WrongShard reroute loop.
+ *
+ * Exits non-zero when a read-back is wrong: bob's read of alice's
+ * write, carol's key-7 read, or the stale client's healed read.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "app/cluster.hh"
 #include "app/tcp_service.hh"
 
 using namespace hermes;
 
+namespace
+{
+
+/** Print @p what and whether @p got matches @p want. @return match. */
+bool
+check(const char *what, const std::string &got, const std::string &want)
+{
+    if (got == want) {
+        std::printf("%s: '%s'\n", what, got.c_str());
+        return true;
+    }
+    std::printf("%s: '%s' -- WRONG, expected '%s'\n", what, got.c_str(),
+                want.c_str());
+    return false;
+}
+
+} // namespace
+
 int
 main()
 {
+    bool ok = true;
     net::TcpConfig tcp;
     tcp.basePort = 19750;
     app::ReplicaOptions options;
@@ -38,8 +61,8 @@ main()
 
     alice.write(1, "written-via-node-0");
     std::printf("alice wrote key 1 at replica 0\n");
-    std::printf("bob reads key 1 at replica 2: '%s'\n",
-                bob.read(1).value_or("?").c_str());
+    ok &= check("bob reads key 1 at replica 2", bob.read(1).value_or("?"),
+                "written-via-node-0");
 
     bool locked = bob.cas(50, "", "bob").value_or(false);
     bool contended = alice.cas(50, "", "alice").value_or(true);
@@ -75,22 +98,25 @@ main()
     // A fresh client learns the full shard -> address map at HELLO and
     // routes every op to the group owning its key.
     app::KvClient carol(deployment.portOf(0, 0));
-    carol.write(7, "routed-to-shard-" + std::to_string(
-                       app::shardOfKey(7, deployment.numShards())));
-    std::printf("carol wrote key 7 (owner: shard %u): '%s'\n",
-                app::shardOfKey(7, deployment.numShards()),
-                carol.read(7).value_or("?").c_str());
+    uint32_t owner = app::shardOfKey(7, deployment.numShards());
+    std::string routed = "routed-to-shard-" + std::to_string(owner);
+    carol.write(7, routed);
+    std::printf("carol wrote key 7 (owner: shard %u)\n", owner);
+    ok &= check("carol reads key 7", carol.read(7).value_or("?"), routed);
 
     // A stale client that still believes the key space is unsharded: its
     // first op lands on the wrong group, is rejected with WrongShard plus
     // the authoritative map, and the client reconnects to the real owner
     // and retries -- the reroute loop in action.
     app::KvClient stale(deployment.portOf(1, 0), /*num_shards=*/1);
-    std::string healed_read = stale.read(7).value_or("?");
-    std::printf("stale client (thinks S=1) reads key 7: '%s' "
-                "(healed to S=%zu after one redirect)\n",
-                healed_read.c_str(), stale.numShards());
+    ok &= check("stale client (thinks S=1) reads key 7",
+                stale.read(7).value_or("?"), routed);
+    std::printf("stale client healed to S=%zu\n", stale.numShards());
     deployment.stop();
     std::printf("deployment stopped.\n");
+    if (!ok) {
+        std::printf("FAILED: a read-back was wrong\n");
+        return 1;
+    }
     return 0;
 }

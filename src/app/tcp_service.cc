@@ -910,302 +910,6 @@ ShardedTcpDeployment::removeShard()
 }
 
 // ---------------------------------------------------------------------
-// KvClient
-// ---------------------------------------------------------------------
-
-KvClient::KvClient(uint16_t seed_port, size_t num_shards)
-    : seedPort_(seed_port),
-      seed_(std::make_unique<net::TcpClient>(seed_port)),
-      numShards_(num_shards)
-{
-    net::registerClientCodecs();
-    if (num_shards == 0) {
-        // HELLO negotiation: adopt the deployment's map up front. A
-        // service that never answers leaves us with the unsharded
-        // default (and WrongShard replies will teach us later).
-        numShards_ = 1;
-        resolveMapFromSeed();
-    }
-}
-
-bool
-KvClient::connected() const
-{
-    return seed_ && seed_->connected();
-}
-
-void
-KvClient::resolveMapFromSeed()
-{
-    if (!connected())
-        return;
-    ClientRequestMsg hello;
-    hello.op = ClientRequestMsg::Op::Hello;
-    hello.numShards = static_cast<uint32_t>(numShards_);
-    auto reply = callOn(*seed_, hello, 2_s);
-    if (reply)
-        adoptMap(static_cast<ClientReplyMsg &>(*reply), /*via_seed=*/true);
-}
-
-uint32_t
-KvClient::routeShard(Key key) const
-{
-    // Slot-indirection routing: once a reply has taught us the owners
-    // table we index it; before that (bootstrap against an old service)
-    // fall back to the legacy uniform hash.
-    if (slotOwners_.size() == kNumSlots)
-        return slotOwners_[slotOfKey(key)];
-    return shardOfKey(key, numShards_ ? numShards_ : 1);
-}
-
-bool
-KvClient::adoptMap(const ClientReplyMsg &reply, bool via_seed)
-{
-    if (reply.mapShards == 0)
-        return false; // a service that advertises nothing teaches nothing
-    // Strict epoch adoption: a reply stamped with a map OLDER than the
-    // one we already hold is a laggard (e.g. a replica answering just
-    // before it installs a cutover). Believing it would re-route ops to
-    // the migration source and ping-pong. Equal epochs still teach —
-    // independent deployments both sit at epoch 1 and differ only in
-    // shard count / addresses.
-    if (reply.mapEpoch < mapEpoch_)
-        return false;
-    bool learned = false;
-    if (reply.mapEpoch > mapEpoch_) {
-        mapEpoch_ = reply.mapEpoch;
-        learned = true;
-    }
-    if (!reply.slotOwners.empty()
-            && reply.slotOwners.size() == kNumSlots
-            && reply.slotOwners != slotOwners_) {
-        slotOwners_ = reply.slotOwners;
-        learned = true;
-    }
-    if (reply.mapShards != numShards_) {
-        numShards_ = reply.mapShards;
-        if (reply.slotOwners.size() != kNumSlots) {
-            // The shard count changed but this reply carried no owners
-            // table: any cached one indexes the OLD generation and may
-            // name shards that no longer exist. Drop back to hash
-            // routing until a full advertisement arrives.
-            slotOwners_.clear();
-        }
-        // Cached per-shard connections were routed by the old map; a
-        // shard id means something different now. That includes the
-        // seed's remembered shard id: under the new count "shard
-        // seedShard_" names a different slice of the key space, so
-        // keeping it would route that slice to the seed no matter who
-        // owns it. Invalidate and re-learn (the via_seed branch below
-        // re-learns it immediately when the teaching reply came from
-        // the seed itself).
-        conns_.clear();
-        seedShardKnown_ = false;
-        learned = true;
-    }
-    if (via_seed && (!seedShardKnown_ || seedShard_ != reply.mapShard)) {
-        seedShardKnown_ = true;
-        seedShard_ = reply.mapShard;
-        learned = true;
-    }
-    if (!reply.mapPorts.empty()) {
-        if (addrs_.size() != reply.mapPorts.size()) {
-            addrs_.resize(reply.mapPorts.size());
-            learned = true;
-        }
-        for (size_t s = 0; s < reply.mapPorts.size(); ++s) {
-            // Merge: a standalone group advertises only its own entry;
-            // keep addresses other replies taught us.
-            if (!reply.mapPorts[s].empty()
-                    && reply.mapPorts[s] != addrs_[s]) {
-                addrs_[s] = reply.mapPorts[s];
-                learned = true;
-            }
-        }
-    }
-    return learned;
-}
-
-net::TcpClient *
-KvClient::connectionFor(uint32_t shard, TimeNs deadline)
-{
-    if (seedShardKnown_ && shard == seedShard_ && connected())
-        return seed_.get();
-    auto it = conns_.find(shard);
-    if (it != conns_.end() && it->second->connected())
-        return it->second.get();
-    conns_.erase(shard);
-    if (shard < addrs_.size()) {
-        for (uint16_t port : addrs_[shard]) {
-            if (port == seedPort_ && connected()) {
-                // The seed turns out to be a replica of this shard.
-                seedShardKnown_ = true;
-                seedShard_ = shard;
-                return seed_.get();
-            }
-            // Few dial attempts: the deployment is already up when a
-            // map advertises it, so a refusing port means a dead
-            // replica — fail over to the next one fast. Failed attempts
-            // sleep on the jittered exponential backoff (~5/10/20 ms
-            // gaps at this depth), so size the retry count to the op's
-            // remaining budget and stop dialing entirely once it is
-            // spent — the seed fallback below still answers (with
-            // WrongShard) within whatever time is left.
-            TimeNs remaining = deadline - steadyNowNs();
-            if (remaining <= 0)
-                break;
-            int attempts = static_cast<int>(
-                std::min<TimeNs>(3, remaining / 20_ms + 1));
-            auto conn = std::make_unique<net::TcpClient>(port, attempts);
-            if (conn->connected()) {
-                net::TcpClient *raw = conn.get();
-                conns_[shard] = std::move(conn);
-                return raw;
-            }
-        }
-    }
-    // No (live) address for the shard: fall back to the seed, whose
-    // WrongShard rejection carries the map that teaches us the route.
-    return connected() ? seed_.get() : nullptr;
-}
-
-std::shared_ptr<net::Message>
-KvClient::callOn(net::TcpClient &conn, ClientRequestMsg &request,
-                 DurationNs timeout)
-{
-    request.reqId = nextReqId_++;
-    auto reply = conn.call(request, timeout, request.reqId);
-    if (!reply || reply->type() != net::MsgType::ClientReply)
-        return nullptr;
-    return reply;
-}
-
-std::shared_ptr<net::Message>
-KvClient::callRerouting(ClientRequestMsg &request, DurationNs timeout)
-{
-    lastStatus_ = ClientReplyMsg::Status::Ok;
-    std::shared_ptr<net::Message> reply;
-    // ONE deadline for the whole op, not one per attempt: redials and
-    // reroute rounds all burn the same budget, so an op bounded at
-    // `timeout` cannot take kMaxRouteAttempts × timeout wall time when
-    // the deployment keeps redirecting it.
-    const TimeNs deadline = steadyNowNs() + timeout;
-    for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
-        TimeNs remaining = deadline - steadyNowNs();
-        if (remaining <= 0)
-            return nullptr; // op budget spent mid-reroute
-        size_t shards = numShards_ ? numShards_ : 1;
-        uint32_t shard = routeShard(request.key);
-        request.shard = shard;
-        request.numShards = static_cast<uint32_t>(shards);
-        request.mapEpoch = mapEpoch_;
-        net::TcpClient *conn = connectionFor(shard, deadline);
-        if (!conn)
-            return nullptr; // no route anywhere (seed gone too)
-        remaining = deadline - steadyNowNs();
-        if (remaining <= 0)
-            return nullptr; // dialing consumed the budget
-        bool via_seed = conn == seed_.get();
-        reply = callOn(*conn, request, remaining);
-        if (!reply) {
-            // Timeout or disconnect. Drop a per-shard connection so the
-            // next op re-dials (maybe a different replica); the seed is
-            // kept — it is the bootstrap of last resort.
-            if (!via_seed)
-                conns_.erase(shard);
-            return nullptr;
-        }
-        auto &r = static_cast<ClientReplyMsg &>(*reply);
-        bool learned = adoptMap(r, via_seed);
-        if (r.status != ClientReplyMsg::Status::WrongShard) {
-            lastStatus_ = r.status;
-            return reply;
-        }
-        if (r.mapEpoch < mapEpoch_) {
-            // The rejecting service is BEHIND the map we already
-            // adopted: a cutover installs the successor group by group,
-            // and this group just has not received it yet. That is lag,
-            // not a routing dead end — brief backoff and retry without
-            // burning an attempt (the op deadline still bounds us).
-            --attempt;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            continue;
-        }
-        // WrongShard: re-resolve under the freshly adopted map and only
-        // loop when that yields a usable route we have not just tried —
-        // the reroute targets the owning shard's actual address, it is
-        // not a blind same-socket retry.
-        uint32_t new_shard = routeShard(request.key);
-        bool reachable =
-            (seedShardKnown_ && new_shard == seedShard_)
-            || (new_shard < addrs_.size() && !addrs_[new_shard].empty());
-        if (!reachable) {
-            // Dead end by the service's own map: no address to go to.
-            lastStatus_ = ClientReplyMsg::Status::WrongShard;
-            return reply;
-        }
-        if (!learned && new_shard == shard) {
-            // Nothing new adopted and the same route re-resolved: the
-            // reachable owner keeps rejecting us (disagreeing services);
-            // retrying the identical request cannot converge.
-            lastStatus_ = ClientReplyMsg::Status::WrongShard;
-            return reply;
-        }
-    }
-    lastStatus_ = ClientReplyMsg::Status::RetriesExhausted;
-    return reply;
-}
-
-std::optional<Value>
-KvClient::read(Key key, DurationNs timeout)
-{
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Read;
-    request.key = key;
-    auto reply = callRerouting(request, timeout);
-    if (!reply || lastStatus_ != ClientReplyMsg::Status::Ok)
-        return std::nullopt;
-    return static_cast<ClientReplyMsg &>(*reply).value.str();
-}
-
-bool
-KvClient::write(Key key, Value value, DurationNs timeout)
-{
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Write;
-    request.key = key;
-    request.value = std::move(value);
-    auto reply = callRerouting(request, timeout);
-    return reply && lastStatus_ == ClientReplyMsg::Status::Ok;
-}
-
-std::optional<bool>
-KvClient::cas(Key key, Value expected, Value desired, DurationNs timeout)
-{
-    auto observed =
-        casObserve(key, std::move(expected), std::move(desired), timeout);
-    if (!observed)
-        return std::nullopt;
-    return observed->first;
-}
-
-std::optional<std::pair<bool, Value>>
-KvClient::casObserve(Key key, Value expected, Value desired,
-                     DurationNs timeout)
-{
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Cas;
-    request.key = key;
-    request.value = std::move(desired);
-    request.expected = std::move(expected);
-    auto reply = callRerouting(request, timeout);
-    if (!reply || lastStatus_ != ClientReplyMsg::Status::Ok)
-        return std::nullopt;
-    auto &r = static_cast<ClientReplyMsg &>(*reply);
-    return std::make_pair(r.ok, r.value.str());
-}
-
-// ---------------------------------------------------------------------
 // KvSessionClient
 // ---------------------------------------------------------------------
 
@@ -1308,12 +1012,20 @@ KvSessionClient::sendHello(const ConnPtr &conn)
     hello.deadline = steadyNowNs() + 5_s;
     hello.conn = conn;
     uint64_t token = nextReqId_++;
+    conn->hello = token;
     ops_.emplace(token, std::move(hello));
     enqueue(token, conn);
 }
 
+void
+KvSessionClient::waitHello()
+{
+    if (seed_)
+        wait(seed_->hello);
+}
+
 KvSessionClient::ConnPtr
-KvSessionClient::connFor(uint32_t shard)
+KvSessionClient::connFor(uint32_t shard, TimeNs deadline)
 {
     auto it = route_.find(shard);
     if (it != route_.end() && it->second->alive)
@@ -1335,8 +1047,16 @@ KvSessionClient::connFor(uint32_t shard)
         }
         for (uint16_t port : addrs_[shard]) {
             // Few dial attempts: an advertised address that refuses is
-            // a dead replica — fail over to the next one fast.
-            if (ConnPtr conn = dial(port, 3)) {
+            // a dead replica — fail over to the next one fast. Failed
+            // attempts sleep on the backoff (~5/10 ms gaps at this
+            // depth), so size the count to the op's remaining budget
+            // and stop dialing once it is spent.
+            TimeNs remaining = deadline - steadyNowNs();
+            if (remaining <= 0)
+                break;
+            int attempts = static_cast<int>(
+                std::min<TimeNs>(3, remaining / 20_ms + 1));
+            if (ConnPtr conn = dial(port, attempts)) {
                 route_[shard] = conn;
                 return conn;
             }
@@ -1385,9 +1105,9 @@ uint64_t
 KvSessionClient::issue(PendingOp op)
 {
     uint64_t token = nextReqId_++;
-    uint32_t shard = routeShard(op.key);
-    ConnPtr conn = connFor(shard);
+    ConnPtr conn = connFor(routeShard(op.key), op.deadline);
     op.conn = conn;
+    op.routeGen = mapGen_;
     ops_.emplace(token, std::move(op));
     if (!conn) {
         // No route anywhere (seed gone too): fail it immediately, the
@@ -1545,22 +1265,29 @@ KvSessionClient::routeShard(Key key) const
     return shardOfKey(key, numShards_ ? numShards_ : 1);
 }
 
-void
+bool
 KvSessionClient::adoptMap(const ClientReplyMsg &reply)
 {
     if (reply.mapShards == 0)
-        return;
-    // Strict epoch adoption (same rule as KvClient::adoptMap): a reply
-    // stamped with an older map than the one already adopted is a
-    // laggard and teaches nothing; equal or newer epochs merge.
+        return false; // a service that advertises nothing teaches nothing
+    // Strict epoch adoption: a reply stamped with a map OLDER than the
+    // one already adopted is a laggard (e.g. a replica answering just
+    // before it installs a cutover). Believing it would re-route ops to
+    // the migration source and ping-pong. Equal epochs still teach —
+    // independent deployments both sit at epoch 1 and differ only in
+    // shard count / addresses.
     if (reply.mapEpoch < mapEpoch_)
-        return;
-    if (reply.mapEpoch > mapEpoch_)
+        return false;
+    bool learned = false;
+    if (reply.mapEpoch > mapEpoch_) {
         mapEpoch_ = reply.mapEpoch;
+        learned = true;
+    }
     if (!reply.slotOwners.empty() && reply.slotOwners.size() == kNumSlots
             && reply.slotOwners != slotOwners_) {
         slotOwners_ = reply.slotOwners;
         route_.clear(); // ownership moved: re-resolve conns per slot map
+        learned = true;
     }
     if (reply.mapShards != numShards_) {
         numShards_ = reply.mapShards;
@@ -1569,14 +1296,26 @@ KvSessionClient::adoptMap(const ClientReplyMsg &reply)
         // Shard ids mean something different under the new count; the
         // sockets stay up (they multiplex), only the routes re-resolve.
         route_.clear();
+        learned = true;
     }
     if (!reply.mapPorts.empty()) {
-        if (addrs_.size() != reply.mapPorts.size())
+        if (addrs_.size() != reply.mapPorts.size()) {
             addrs_.resize(reply.mapPorts.size());
-        for (size_t s = 0; s < reply.mapPorts.size(); ++s)
-            if (!reply.mapPorts[s].empty())
+            learned = true;
+        }
+        for (size_t s = 0; s < reply.mapPorts.size(); ++s) {
+            // Merge: a standalone group advertises only its own entry;
+            // keep addresses other replies taught us.
+            if (!reply.mapPorts[s].empty()
+                    && reply.mapPorts[s] != addrs_[s]) {
                 addrs_[s] = reply.mapPorts[s];
+                learned = true;
+            }
+        }
     }
+    if (learned)
+        ++mapGen_;
+    return learned;
 }
 
 void
@@ -1602,22 +1341,36 @@ KvSessionClient::handleReply(const ConnPtr &conn,
         return;
     }
     if (reply.status == ClientReplyMsg::Status::WrongShard) {
-        // The synchronous client's reroute loop, unrolled per op: adopt
-        // (done above), re-resolve, re-issue the SAME token toward the
-        // owning shard — bounded by the op's attempt budget and, via
-        // expireOps, its deadline. A rejection stamped OLDER than the
-        // adopted epoch is cutover lag (the group has not installed the
-        // successor map yet), not a mis-route: retry without consuming
-        // an attempt, bounded by the op deadline alone.
-        bool laggard = reply.mapEpoch < mapEpoch_;
-        if (!laggard && ++op.attempts >= kMaxRouteAttempts) {
-            complete(reply.reqId,
-                     OpResult{ClientReplyMsg::Status::RetriesExhausted,
-                              true, false, {}});
-            return;
-        }
+        // Reroute: adopt (done above), re-resolve, re-issue the SAME
+        // token toward the owning shard — bounded by the op's attempt
+        // budget and, via expireOps, its deadline. A rejection stamped
+        // OLDER than the adopted epoch is cutover lag (the group has not
+        // installed the successor map yet), not a mis-route: retry
+        // without consuming an attempt, bounded by the op deadline alone.
         uint32_t shard = routeShard(op.key);
-        ConnPtr next = connFor(shard);
+        if (reply.mapEpoch >= mapEpoch_) {
+            // Dead ends: the service's own map names no address for the
+            // owner, or nothing was adopted since the op was routed, so
+            // it would re-resolve to the route just rejected (services
+            // that disagree) — retrying cannot converge. The generation
+            // is taken when the socket is chosen, not when the op is
+            // encoded: an op queued behind the window may be stamped
+            // under a newer map than the one that picked its socket.
+            bool reachable = shard < addrs_.size() && !addrs_[shard].empty();
+            if (!reachable || op.routeGen == mapGen_) {
+                complete(reply.reqId,
+                         OpResult{ClientReplyMsg::Status::WrongShard, true,
+                                  false, {}});
+                return;
+            }
+            if (++op.attempts >= kMaxRouteAttempts) {
+                complete(reply.reqId,
+                         OpResult{ClientReplyMsg::Status::RetriesExhausted,
+                                  true, false, {}});
+                return;
+            }
+        }
+        ConnPtr next = connFor(shard, op.deadline);
         if (!next) {
             complete(reply.reqId,
                      OpResult{ClientReplyMsg::Status::WrongShard, true,
@@ -1625,6 +1378,7 @@ KvSessionClient::handleReply(const ConnPtr &conn,
             return;
         }
         op.conn = next;
+        op.routeGen = mapGen_;
         enqueue(reply.reqId, next);
         return;
     }
@@ -1810,6 +1564,65 @@ KvSessionClient::block(int timeout_ms)
         return;
     }
     poll(pfds.data(), pfds.size(), timeout_ms);
+}
+
+// ---------------------------------------------------------------------
+// KvClient
+// ---------------------------------------------------------------------
+
+KvClient::KvClient(uint16_t seed_port, size_t num_shards)
+    : session_(seed_port, /*credits=*/0, num_shards)
+{
+    if (num_shards == 0)
+        session_.waitHello();
+}
+
+std::optional<KvSessionClient::OpResult>
+KvClient::finish(uint64_t token)
+{
+    auto result = session_.wait(token);
+    lastStatus_ = result ? result->status : ClientReplyMsg::Status::Ok;
+    if (!result || !result->completed
+            || result->status != ClientReplyMsg::Status::Ok)
+        return std::nullopt;
+    return result;
+}
+
+std::optional<Value>
+KvClient::read(Key key, DurationNs timeout)
+{
+    auto result = finish(session_.readAsync(key, timeout));
+    if (!result)
+        return std::nullopt;
+    return std::move(result->value);
+}
+
+bool
+KvClient::write(Key key, Value value, DurationNs timeout)
+{
+    return finish(session_.writeAsync(key, std::move(value), timeout))
+        .has_value();
+}
+
+std::optional<bool>
+KvClient::cas(Key key, Value expected, Value desired, DurationNs timeout)
+{
+    auto observed =
+        casObserve(key, std::move(expected), std::move(desired), timeout);
+    if (!observed)
+        return std::nullopt;
+    return observed->first;
+}
+
+std::optional<std::pair<bool, Value>>
+KvClient::casObserve(Key key, Value expected, Value desired,
+                     DurationNs timeout)
+{
+    auto result = finish(session_.casAsync(key, std::move(expected),
+                                           std::move(desired), timeout));
+    if (!result)
+        return std::nullopt;
+    return std::make_pair(result->casApplied, std::move(result->value));
 }
 
 } // namespace hermes::app

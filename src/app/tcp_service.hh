@@ -352,146 +352,32 @@ class ShardedTcpDeployment
 };
 
 /**
- * Synchronous multi-shard KV client for a TCP deployment: read/write/cas
- * with blocking calls, as an application would use the service.
- *
- * Routing: the client keeps one connection per shard and routes each op
- * by the stable shardOfKey hash over its current shard map. The map is
- * negotiated at HELLO (connect time) and *re-resolved from any WrongShard
- * rejection*, whose reply carries the authoritative count and address
- * map: the client adopts the map, reconnects to the shard that actually
- * owns the key, and retries — a bounded loop, so a client constructed
- * with an arbitrarily stale map converges onto the live deployment
- * instead of dead-ending on one socket.
- */
-class KvClient
-{
-  public:
-    /** Reroute attempts per op before surfacing RetriesExhausted. */
-    static constexpr int kMaxRouteAttempts = 4;
-
-    /**
-     * Connect to the deployment via the replica on @p seed_port.
-     *
-     * @param num_shards 0 (default) = negotiate the shard map at HELLO;
-     *        a positive count skips HELLO and trusts the caller's map —
-     *        deliberately stale clients in tests use this.
-     */
-    explicit KvClient(uint16_t seed_port, size_t num_shards = 0);
-
-    bool connected() const;
-
-    /** @return the value, or nullopt on timeout/disconnect. */
-    std::optional<Value> read(Key key, DurationNs timeout = 5_s);
-
-    /** @return true when the write committed. */
-    bool write(Key key, Value value, DurationNs timeout = 5_s);
-
-    /** @return whether the CAS applied, or nullopt on timeout. */
-    std::optional<bool> cas(Key key, Value expected, Value desired,
-                            DurationNs timeout = 5_s);
-
-    /**
-     * CAS also returning the observed register value — what the lin-check
-     * harnesses record (a failed CAS's history entry must carry the value
-     * it observed).
-     */
-    std::optional<std::pair<bool, Value>>
-    casObserve(Key key, Value expected, Value desired,
-               DurationNs timeout = 5_s);
-
-    /**
-     * Status of the last completed call: Ok, WrongShard when no route to
-     * the key's owner is known (the advertised map has no address for
-     * it), or RetriesExhausted when kMaxRouteAttempts re-resolve-and-
-     * reroute rounds never converged.
-     */
-    net::ClientReplyMsg::Status lastStatus() const { return lastStatus_; }
-
-    /** The client's current notion of the deployment's shard count. */
-    size_t numShards() const { return numShards_; }
-
-    /** The client's current shard → address map (HELLO/WrongShard fed). */
-    const ShardAddressMap &addressMap() const { return addrs_; }
-
-    /** Epoch of the slot map the client has adopted (0 = none yet). */
-    uint32_t mapEpoch() const { return mapEpoch_; }
-
-    /** The shard this client would route @p key to right now. */
-    uint32_t routedShard(Key key) const { return routeShard(key); }
-
-    /**
-     * Test hook: feed an advertised map exactly as a reply would.
-     * @return whether anything was adopted — false for a reply whose
-     * epoch is OLDER than the client's (the strict-adoption rule: a
-     * delayed advertisement must never roll routing back).
-     */
-    bool
-    adoptAdvertisedMap(const net::ClientReplyMsg &reply)
-    {
-        return adoptMap(reply, /*via_seed=*/false);
-    }
-
-  private:
-    /** Stamp + send with bounded re-resolve-and-reroute on WrongShard. */
-    std::shared_ptr<net::Message>
-    callRerouting(net::ClientRequestMsg &request, DurationNs timeout);
-
-    /** HELLO: ask the seed for the deployment map and adopt it. */
-    void resolveMapFromSeed();
-
-    /** Adopt count/addresses a reply advertises. @return anything new? */
-    bool adoptMap(const net::ClientReplyMsg &reply, bool via_seed);
-
-    /**
-     * Connection serving @p shard: cached, dialed, or seed fallback.
-     * Dialing is bounded by @p deadline — each failed dial attempt costs
-     * real wall time (20 ms retry sleeps), so a nearly-expired op skips
-     * further replicas rather than blowing through its budget.
-     */
-    net::TcpClient *connectionFor(uint32_t shard, TimeNs deadline);
-
-    /** One request/reply on @p conn with reqId matching. */
-    std::shared_ptr<net::Message> callOn(net::TcpClient &conn,
-                                         net::ClientRequestMsg &request,
-                                         DurationNs timeout);
-
-    /** Route @p key: by adopted slot-owner table when one is held (it
-     *  reflects migrations), else by the uniform shardOfKey hash. */
-    uint32_t routeShard(Key key) const;
-
-    uint16_t seedPort_;
-    std::unique_ptr<net::TcpClient> seed_;
-    bool seedShardKnown_ = false;
-    uint32_t seedShard_ = 0;
-    std::map<uint32_t, std::unique_ptr<net::TcpClient>> conns_;
-    ShardAddressMap addrs_;
-    size_t numShards_ = 1;
-    uint32_t mapEpoch_ = 0;           ///< adopted map version (0 = none)
-    std::vector<uint16_t> slotOwners_; ///< adopted slot → shard table
-    uint64_t nextReqId_ = 1;
-    net::ClientReplyMsg::Status lastStatus_ =
-        net::ClientReplyMsg::Status::Ok;
-};
-
-/**
- * Pipelined multi-shard session client: the massive-client face of the
- * deployment. Where KvClient blocks on one request at a time,
- * KvSessionClient keeps many requests in flight per connection —
- * requests carry per-session sequence numbers (reqIds), replies
- * complete out of the reply stream by reqId, and the client caps its
- * in-flight ops at the credit window the server granted at HELLO (the
- * server enforces the cap by ceasing to read an over-limit session, so
- * a cooperative client never hits raw TCP backpressure).
+ * Pipelined multi-shard session client: the deployment's one client
+ * (KvClient is a blocking facade over it). It keeps many requests in
+ * flight per connection — requests carry per-session sequence numbers
+ * (reqIds), replies complete out of the reply stream by reqId, and the
+ * client caps its in-flight ops at the credit window the server granted
+ * at HELLO (the server enforces the cap by ceasing to read an over-limit
+ * session, so a cooperative client never hits raw TCP backpressure).
  *
  * Everything is single-threaded and non-blocking: progress() pumps all
  * sockets without blocking, wait()/waitAll() poll until completion, and
  * an external event loop (the 10-10k session bench) can multiplex
- * thousands of these clients off fds(). The synchronous client's
- * reroute-on-WrongShard logic is preserved *per in-flight op*: a
- * rejected op adopts the advertised map and re-issues itself toward the
- * owning shard — concurrently with every other op, within its own
- * deadline and attempt budget.
+ * thousands of these clients off fds().
+ *
+ * Routing is by the slot map adopted from replies (HELLO and every
+ * WrongShard rejection carry the deployment's map, adopted strictly by
+ * epoch). A rejected op re-resolves under the adopted map and re-issues
+ * itself toward the owning shard — concurrently with every other op,
+ * within its own deadline and kMaxRouteAttempts budget. Two rules keep
+ * that convergent:
+ *  - dials are bounded by the op's deadline: each connect attempt can
+ *    cost a backoff sleep, so an op near its deadline dials less, and
+ *    one past it dials not at all (the seed still answers);
+ *  - a WrongShard is a dead end, surfaced as status WrongShard, when
+ *    the re-resolved shard has no advertised address, or when nothing
+ *    was adopted since the op was routed (so it would re-resolve to
+ *    the same route that was just rejected).
  */
 class KvSessionClient
 {
@@ -518,9 +404,11 @@ class KvSessionClient
      *                   the server default). The grant comes back in
      *                   the HELLO reply and caps this session's
      *                   pipeline depth.
-     * @param num_shards 0 = negotiate the shard map at HELLO; positive
-     *                   = trust the caller's (possibly stale) count,
-     *                   as the deliberately-stale test clients do.
+     * @param num_shards 0 = learn the shard count from the HELLO
+     *                   reply; positive = seed the session's belief with
+     *                   the caller's (possibly stale) count, as the
+     *                   deliberately-stale test clients do. Either way
+     *                   the HELLO reply's map is adopted when it lands.
      */
     explicit KvSessionClient(uint16_t seed_port, uint32_t credits = 0,
                              size_t num_shards = 0);
@@ -578,12 +466,23 @@ class KvSessionClient
     /** Epoch of the slot map the session has adopted (0 = none yet). */
     uint32_t mapEpoch() const { return mapEpoch_; }
 
-    /** Test hook: feed an advertised map exactly as a reply would (the
-     *  strict-adoption rule discards epochs older than adopted). */
-    void adoptAdvertisedMap(const net::ClientReplyMsg &reply)
+    /** The shard this session would route @p key to right now. */
+    uint32_t routedShard(Key key) const { return routeShard(key); }
+
+    /**
+     * Test hook: feed an advertised map exactly as a reply would.
+     * @return whether anything was adopted — false for a reply whose
+     * epoch is OLDER than the session's (the strict-adoption rule: a
+     * delayed advertisement must never roll routing back).
+     */
+    bool adoptAdvertisedMap(const net::ClientReplyMsg &reply)
     {
-        adoptMap(reply);
+        return adoptMap(reply);
     }
+
+    /** Block until the seed's HELLO has been answered (its map adopted)
+     *  or has expired; returns at once when the seed never connected. */
+    void waitHello();
 
     /**
      * Send every buffered op, then return every live socket fd — for an
@@ -617,6 +516,7 @@ class KvSessionClient
         uint32_t window = 0;   ///< believed credit window
         uint32_t inflight = 0; ///< sent, not yet completed/expired
         std::deque<uint64_t> sendq; ///< tokens awaiting window room
+        uint64_t hello = 0;    ///< token of the HELLO sent on connect
     };
     using ConnPtr = std::shared_ptr<SessionConn>;
 
@@ -627,13 +527,17 @@ class KvSessionClient
         Value value;
         Value expected;
         int attempts = 0;
+        uint64_t routeGen = 0; ///< mapGen_ when `conn` was chosen
         TimeNs deadline = 0;
         bool internal = false; ///< bookkeeping op (HELLO), not user-visible
         ConnPtr conn;          ///< where sent/queued (null = unroutable)
     };
 
     ConnPtr dial(uint16_t port, int connect_attempts);
-    ConnPtr connFor(uint32_t shard);
+    /** Connection serving @p shard: a live socket to any of its
+     *  replicas, else a dial in address order bounded by @p deadline,
+     *  else the seed (whose WrongShard reply teaches the route). */
+    ConnPtr connFor(uint32_t shard, TimeNs deadline);
     void sendHello(const ConnPtr &conn);
     uint64_t issue(PendingOp op);
     void enqueue(uint64_t token, const ConnPtr &conn);
@@ -644,7 +548,8 @@ class KvSessionClient
     void readAndParse(const ConnPtr &conn);
     void handleReply(const ConnPtr &conn,
                      const net::ClientReplyMsg &reply);
-    void adoptMap(const net::ClientReplyMsg &reply);
+    /** Adopt the map a reply advertises. @return anything new? */
+    bool adoptMap(const net::ClientReplyMsg &reply);
     /** Route @p key by the adopted slot-owner table, else hash. */
     uint32_t routeShard(Key key) const;
     void markDead(const ConnPtr &conn);
@@ -663,9 +568,92 @@ class KvSessionClient
     size_t numShards_ = 1;
     uint32_t mapEpoch_ = 0;            ///< adopted map version (0 = none)
     std::vector<uint16_t> slotOwners_; ///< adopted slot → shard table
+    uint64_t mapGen_ = 0;    ///< bumped whenever adoptMap learns anything
     uint64_t nextReqId_ = 1; ///< per-session sequence numbers
     std::map<uint64_t, PendingOp> ops_;      ///< in flight or queued
     std::map<uint64_t, OpResult> results_;   ///< completed, not taken
+};
+
+/**
+ * Synchronous multi-shard KV client: read/write/cas with blocking calls,
+ * as an application would use the service. A blocking facade over one
+ * KvSessionClient — each call issues the async op and waits on its
+ * token — so routing, map adoption, dialing and the WrongShard reroute
+ * rules (see KvSessionClient) exist once, in the session.
+ */
+class KvClient
+{
+  public:
+    /**
+     * Connect to the deployment via the replica on @p seed_port.
+     *
+     * @param num_shards 0 (default) = return only once the seed's HELLO
+     *        reply has been adopted. A positive count only seeds the
+     *        client's belief (deliberately stale test clients use it):
+     *        the session's HELLO still goes out, and its reply is
+     *        adopted ahead of any op reply on the seed's socket.
+     */
+    explicit KvClient(uint16_t seed_port, size_t num_shards = 0);
+
+    bool connected() const { return session_.connected(); }
+
+    /** @return the value, or nullopt on timeout/disconnect. */
+    std::optional<Value> read(Key key, DurationNs timeout = 5_s);
+
+    /** @return true when the write committed. */
+    bool write(Key key, Value value, DurationNs timeout = 5_s);
+
+    /** @return whether the CAS applied, or nullopt on timeout. */
+    std::optional<bool> cas(Key key, Value expected, Value desired,
+                            DurationNs timeout = 5_s);
+
+    /**
+     * CAS also returning the observed register value — what the lin-check
+     * harnesses record (a failed CAS's history entry must carry the value
+     * it observed).
+     */
+    std::optional<std::pair<bool, Value>>
+    casObserve(Key key, Value expected, Value desired,
+               DurationNs timeout = 5_s);
+
+    /**
+     * Status of the last completed call: Ok, WrongShard when no route to
+     * the key's owner is known (the advertised map has no address for
+     * it, or the owner keeps rejecting the same route), or
+     * RetriesExhausted when KvSessionClient::kMaxRouteAttempts
+     * re-resolve-and-reroute rounds never converged.
+     */
+    net::ClientReplyMsg::Status lastStatus() const { return lastStatus_; }
+
+    /** The client's current notion of the deployment's shard count. */
+    size_t numShards() const { return session_.numShards(); }
+
+    /** The client's current shard → address map (HELLO/WrongShard fed). */
+    const ShardAddressMap &addressMap() const
+    {
+        return session_.addressMap();
+    }
+
+    /** Epoch of the slot map the client has adopted (0 = none yet). */
+    uint32_t mapEpoch() const { return session_.mapEpoch(); }
+
+    /** The shard this client would route @p key to right now. */
+    uint32_t routedShard(Key key) const { return session_.routedShard(key); }
+
+    /** Test hook: see KvSessionClient::adoptAdvertisedMap. */
+    bool adoptAdvertisedMap(const net::ClientReplyMsg &reply)
+    {
+        return session_.adoptAdvertisedMap(reply);
+    }
+
+  private:
+    /** Block on @p token and record its status. @return the result when
+     *  the op completed Ok, else nullopt. */
+    std::optional<KvSessionClient::OpResult> finish(uint64_t token);
+
+    KvSessionClient session_;
+    net::ClientReplyMsg::Status lastStatus_ =
+        net::ClientReplyMsg::Status::Ok;
 };
 
 } // namespace hermes::app

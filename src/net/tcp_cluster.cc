@@ -5,13 +5,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <chrono>
@@ -204,6 +201,12 @@ class TcpCluster::NodeLoop
         if (pipe(wakePipe_) != 0)
             fatal("pipe() failed: %s", strerror(errno));
         setNonBlocking(wakePipe_[0]);
+        // The epoll instance lives as long as the loop object: a restart
+        // reuses it with the wake pipe and listener still registered.
+        epollFd_ = epoll_create1(0);
+        if (epollFd_ < 0)
+            fatal("epoll_create1() failed: %s", strerror(errno));
+        watch(wakePipe_[0], EPOLLIN);
     }
 
     ~NodeLoop()
@@ -212,8 +215,7 @@ class TcpCluster::NodeLoop
         close(wakePipe_[1]);
         if (listenFd_ >= 0)
             close(listenFd_);
-        if (epollFd_ >= 0)
-            close(epollFd_);
+        close(epollFd_);
         for (auto &kv : conns_)
             close(kv.second.fd);
     }
@@ -286,6 +288,7 @@ class TcpCluster::NodeLoop
         if (listen(listenFd_, 1024) != 0)
             fatal("listen() failed: %s", strerror(errno));
         setNonBlocking(listenFd_);
+        watch(listenFd_, EPOLLIN);
     }
 
     uint16_t port() const { return config_.basePort + id_; }
@@ -348,10 +351,7 @@ class TcpCluster::NodeLoop
     {
         if (listenFd_ < 0)
             return;
-#ifdef __linux__
-        if (epollFd_ >= 0)
-            epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
-#endif
+        epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
         close(listenFd_);
         listenFd_ = -1;
     }
@@ -494,39 +494,41 @@ class TcpCluster::NodeLoop
         uint32_t inflight = 0;
         uint32_t sessionCredits = 0;        // granted window (0 = none)
         bool paused = false;                // not reading: over window
-        uint32_t armedEvents = 0;           // epoll: currently-registered
+        uint32_t armedEvents = 0;           // events armed in epoll
     };
 
-    /** Events this connection should be watched for right now. */
+    /** Epoll events this connection should be watched for right now. */
     uint32_t
     wantedEvents(const Conn &conn) const
     {
-        uint32_t events = conn.paused ? 0 : POLLIN;
+        uint32_t events = conn.paused ? 0u : EPOLLIN;
         if (!conn.tx.empty())
-            events |= POLLOUT;
+            events |= EPOLLOUT;
         return events;
     }
 
-    /** Re-arm the epoll registration if interest changed (no-op on the
-     *  poll backend, which rebuilds its pollfd set every iteration). */
+    /** Register @p fd with the epoll instance for @p events. */
+    void
+    watch(int fd, uint32_t events)
+    {
+        epoll_event ev{};
+        ev.events = events;
+        ev.data.fd = fd;
+        epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
+    }
+
+    /** Re-arm the epoll registration if interest changed. */
     void
     syncInterest(Conn &conn)
     {
-#ifdef __linux__
-        if (epollFd_ < 0)
-            return;
         uint32_t wanted = wantedEvents(conn);
         if (wanted == conn.armedEvents)
             return;
         epoll_event ev{};
-        ev.events = (wanted & POLLIN ? EPOLLIN : 0u)
-                    | (wanted & POLLOUT ? EPOLLOUT : 0u);
+        ev.events = wanted;
         ev.data.fd = conn.fd;
         epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev);
         conn.armedEvents = wanted;
-#else
-        (void)conn;
-#endif
     }
 
     void
@@ -639,18 +641,8 @@ class TcpCluster::NodeLoop
     {
         int fd = conn.fd;
         Conn &slot = conns_[fd] = std::move(conn);
-#ifdef __linux__
-        if (epollFd_ >= 0) {
-            slot.armedEvents = wantedEvents(slot);
-            epoll_event ev{};
-            ev.events = (slot.armedEvents & POLLIN ? EPOLLIN : 0u)
-                        | (slot.armedEvents & POLLOUT ? EPOLLOUT : 0u);
-            ev.data.fd = fd;
-            epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-        }
-#else
-        (void)slot;
-#endif
+        slot.armedEvents = wantedEvents(slot);
+        watch(fd, slot.armedEvents);
     }
 
     void
@@ -818,9 +810,13 @@ class TcpCluster::NodeLoop
         header[4] = kFrameBatch;
         leStore16(header + 5, static_cast<uint16_t>(messages.size()));
 
-        std::vector<uint8_t> lens(4 * messages.size());
-        std::vector<iovec> iov;
-        iov.reserve(iovNeeded);
+        // Loop-owned scratch, cleared and reused: no allocation per
+        // flush once the vectors have grown to the burst size. The
+        // partial-write tail below reads this flush's entries.
+        std::vector<uint8_t> &lens = gatherLens_;
+        std::vector<iovec> &iov = gatherIov_;
+        lens.resize(4 * messages.size());
+        iov.clear();
         iov.push_back({header, sizeof(header)});
         size_t total = sizeof(header);
         for (size_t i = 0; i < messages.size(); ++i) {
@@ -1080,16 +1076,15 @@ class TcpCluster::NodeLoop
     // ---- main loop ----
 
     /**
-     * epoll backend: one O(ready) wait instead of rebuilding an O(n)
-     * pollfd array per iteration — the difference between serving tens
-     * and thousands of client sessions per replica. Interest is kept in
-     * sync incrementally (registerConn / syncInterest); a paused
-     * session simply has EPOLLIN disarmed.
+     * One O(ready) epoll wait instead of rebuilding an O(n) pollfd array
+     * per iteration — the difference between serving tens and thousands
+     * of client sessions per replica. Interest is kept in sync
+     * incrementally (registerConn / syncInterest); a paused session
+     * simply has EPOLLIN disarmed.
      */
     bool
-    dispatchEpoll()
+    dispatch()
     {
-#ifdef __linux__
         epoll_event events[256];
         int rc = epoll_wait(epollFd_, events, 256, pollTimeoutMs());
         if (rc < 0)
@@ -1111,66 +1106,12 @@ class TcpCluster::NodeLoop
             }
         }
         return true;
-#else
-        return false;
-#endif
-    }
-
-    /** poll() backend: the portability fallback (TcpConfig::useEpoll =
-     *  false, and all non-Linux builds). O(connections) per iteration. */
-    bool
-    dispatchPoll()
-    {
-        std::vector<pollfd> pfds;
-        pfds.push_back({wakePipe_[0], POLLIN, 0});
-        pfds.push_back({listenFd_, POLLIN, 0});
-        std::vector<int> fdOf;
-        for (auto &kv : conns_) {
-            short events = kv.second.paused ? 0 : POLLIN;
-            if (!kv.second.tx.empty())
-                events |= POLLOUT;
-            pfds.push_back({kv.first, events, 0});
-            fdOf.push_back(kv.first);
-        }
-        int rc = poll(pfds.data(), pfds.size(), pollTimeoutMs());
-        if (rc < 0 && errno != EINTR)
-            return false;
-
-        if (pfds[0].revents & POLLIN) {
-            uint8_t drain[256];
-            while (read(wakePipe_[0], drain, sizeof(drain)) > 0) {}
-        }
-        if (pfds[1].revents & POLLIN)
-            acceptNew();
-        for (size_t i = 2; i < pfds.size(); ++i) {
-            int fd = fdOf[i - 2];
-            if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
-                handleReadable(fd);
-            if (conns_.count(fd) && (pfds[i].revents & POLLOUT))
-                tryWrite(conns_[fd]);
-        }
-        return true;
     }
 
     void
     run()
     {
         t_servingLoop = this;
-#ifdef __linux__
-        // On a restart the epoll instance (wake pipe + listener already
-        // registered) survives from the previous life: reuse it.
-        if (config_.useEpoll && epollFd_ < 0) {
-            epollFd_ = epoll_create1(0);
-            if (epollFd_ >= 0) {
-                epoll_event ev{};
-                ev.events = EPOLLIN;
-                ev.data.fd = wakePipe_[0];
-                epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakePipe_[0], &ev);
-                ev.data.fd = listenFd_;
-                epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev);
-            }
-        }
-#endif
         establishMesh();
         if (stop_.load())
             return;
@@ -1180,8 +1121,7 @@ class TcpCluster::NodeLoop
         flushStaged();
 
         while (!stop_.load()) {
-            bool ok = epollFd_ >= 0 ? dispatchEpoll() : dispatchPoll();
-            if (!ok)
+            if (!dispatch())
                 break;
 
             // Injected cross-thread calls.
@@ -1232,7 +1172,7 @@ class TcpCluster::NodeLoop
     LoopEnv env_;
 
     int listenFd_ = -1;
-    int epollFd_ = -1; // -1: poll() backend
+    int epollFd_ = -1;
     int wakePipe_[2] = {-1, -1};
     std::thread thread_;
     std::atomic<bool> stop_{false};
@@ -1243,6 +1183,8 @@ class TcpCluster::NodeLoop
     std::map<ClientConnId, int> clientConns_;
     std::map<int, std::vector<FramePtr>> staged_;
     std::vector<int> resumable_; ///< paused sessions back under window
+    std::vector<uint8_t> gatherLens_; ///< writeStaged length prefixes
+    std::vector<iovec> gatherIov_;    ///< writeStaged gather list
     ClientConnId nextClientId_ = 1;
 
     std::mutex injectMutex_;

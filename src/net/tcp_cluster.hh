@@ -20,9 +20,10 @@
  *    (values above kZeroCopyThreshold are never copied between the
  *    socket and the KVS entry).
  *
- * Each node runs one event-loop thread (poll + timer heap + an injection
- * queue for cross-thread calls). External clients connect to any node's
- * port and speak the same framing with a client hello.
+ * Each node runs one event-loop thread (epoll + timer heap + an
+ * injection queue for cross-thread calls). External clients connect to
+ * any node's port and speak the same framing with a client hello. The
+ * transport is Linux-only: epoll is its one event-loop backend.
  */
 
 #ifndef HERMES_NET_TCP_CLUSTER_HH
@@ -69,9 +70,11 @@ constexpr uint8_t kFrameBatch = 0;           // frame kind: message batch
  * redials: successive failed attempts wait ~5, ~10, ~20 … ms (doubling,
  * jittered by up to the base, capped), so a bounded attempt budget
  * spans a useful wall-clock window while the total number of connect()
- * calls stays small. Every dial attempt in the process — TcpClient,
- * the session client, anything built on them — ticks a process-wide
- * counter the reconnect regression tests assert against.
+ * calls stays small. Both dialers pace with it: the raw TcpClient and
+ * app::KvSessionClient (which KvClient wraps), whose re-route dials
+ * also size their attempt count to the op's remaining deadline. Every
+ * dial attempt ticks a process-wide counter the reconnect regression
+ * tests assert against.
  */
 class DialBackoff
 {
@@ -112,14 +115,6 @@ struct TcpConfig
      * its partner's window.
      */
     uint32_t creditReturnBatch = 64;
-    /**
-     * Event-loop backend: epoll (Linux) when true, O(n) poll() when
-     * false. poll() is the portability fallback and is what non-Linux
-     * builds always use; epoll is what lets one replica loop multiplex
-     * thousands of client sessions without rebuilding a pollfd array
-     * per iteration.
-     */
-    bool useEpoll = true;
     /**
      * Per-client-session credit window: the most requests a session may
      * have in flight (received and not yet replied to) before the
@@ -267,9 +262,11 @@ class TcpCluster
 };
 
 /**
- * Blocking client for the TCP deployment: connects to one replica and
- * issues reads/writes/RMWs over the ClientRequest/ClientReply framing.
- * Used by the tcp_cluster example and the integration tests.
+ * Raw one-request client: connects to one replica and sends exactly the
+ * ClientRequest it is handed, blocking for the reply — no routing, no
+ * map adoption. The raw-frame tests use it to put hand-stamped (even
+ * garbage) requests on the wire; applications use app::KvClient or
+ * app::KvSessionClient.
  */
 class TcpClient
 {
@@ -279,14 +276,11 @@ class TcpClient
      *
      * @param connect_attempts dial retries (DialBackoff-paced: jittered
      *        exponential, ~5 ms first gap, capped) before giving up.
-     *        The default rides out a service that is still binding;
-     *        re-route dials against an address-map entry use a small
-     *        count so a crashed shard fails fast instead of stalling the
-     *        client for seconds.
+     *        The default rides out a service that is still binding; a
+     *        small count fails fast against a refusing port.
      * @param session_credits credit window requested in the hello
-     *        (0 = accept the server's default). A synchronous client
-     *        has at most one request in flight, so the default is
-     *        always enough; pipelined sessions negotiate for real.
+     *        (0 = accept the server's default). One request at a time
+     *        never needs more than the default.
      */
     explicit TcpClient(uint16_t port, int connect_attempts = 100,
                        uint32_t session_credits = 0);

@@ -5,7 +5,7 @@
  * per in-flight op) against the epoll-multiplexed replicas, per-session
  * credit windows negotiated at HELLO and ENFORCED server-side (an
  * over-limit session's socket stops being read until replies drain),
- * the poll() portability fallback, the poll-boundary peer-credit flush,
+ * dead-end WrongShard rejections, the poll-boundary peer-credit flush,
  * session routing (a session serves each shard at the replica it already
  * holds a socket to, failing over in address order), the send-coalescing
  * contract under readiness-only polling, and a 1000-session
@@ -121,31 +121,78 @@ TEST(Sessions, PipelinedOpsCompleteByToken)
     EXPECT_EQ(session.inflight(), 0u);
 }
 
-TEST(Sessions, PollFallbackServesSessions)
+TEST(Sessions, DeadEndWrongShardSurfacesAsWrongShard)
 {
-    // The same pipelined traffic over the portability backend: epoll
-    // off, the O(n) poll() loop must honor pause/resume identically.
+    // A standalone shard-0 group of a 4-way deployment advertises only
+    // its own address. An op on a key another shard owns re-resolves to
+    // a shard with no address: that is a dead end, and the session must
+    // complete it as WrongShard at once — not burn its reroute budget
+    // against the same rejecting group and report RetriesExhausted.
     net::TcpConfig config;
     config.basePort = kBasePort + 16;
-    config.useEpoll = false;
-    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    const size_t kShards = 4;
+    Key owned = 0, foreign = 0;
+    for (Key k = 1; !owned || !foreign; ++k) {
+        if (app::shardOfKey(k, kShards) == 0)
+            owned = owned ? owned : k;
+        else
+            foreign = foreign ? foreign : k;
+    }
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
+                         kShards, /*shard_id=*/0);
     service.start();
 
-    KvSessionClient session(service.portOf(1));
+    KvSessionClient session(service.portOf(0));
     ASSERT_TRUE(session.connected());
-    std::vector<uint64_t> tokens;
-    for (int i = 0; i < 200; ++i)
-        tokens.push_back(session.writeAsync(1 + i % 7,
-                                            test::strCat("p", i)));
-    for (uint64_t token : tokens) {
+    uint64_t served = session.writeAsync(owned, "home");
+    std::vector<uint64_t> rejected = {
+        session.writeAsync(foreign, "lost"),
+        session.readAsync(foreign),
+        session.casAsync(foreign, "", "x"),
+    };
+    for (uint64_t token : rejected) {
         auto result = session.wait(token);
         ASSERT_TRUE(result.has_value());
         EXPECT_TRUE(result->completed);
-        EXPECT_EQ(result->status, net::ClientReplyMsg::Status::Ok);
+        EXPECT_EQ(result->status, net::ClientReplyMsg::Status::WrongShard);
     }
-    auto got = session.wait(session.readAsync(3));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->value, "p198");
+    auto home = session.wait(served);
+    ASSERT_TRUE(home.has_value() && home->completed);
+    EXPECT_EQ(home->status, net::ClientReplyMsg::Status::Ok);
+    EXPECT_EQ(session.numShards(), kShards);
+}
+
+TEST(Sessions, OpsQueuedAcrossHelloAdoptionReroute)
+{
+    // A fresh session routes its first ops under the unsharded default
+    // (everything to the seed). With an 8-credit window most of them
+    // wait in the seed's send queue and are stamped only after the
+    // HELLO reply has taught the real map: the stamp is current, but
+    // the socket was chosen under the old one. Their WrongShard must
+    // reroute them, not count as a dead end ("nothing adopted since the
+    // stamp") — every op completes Ok.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 160;
+    const size_t kShards = 2;
+    ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
+                                    tcpOptions(), config);
+    deployment.start();
+
+    KvSessionClient session(deployment.portOf(0, 0), /*credits=*/8);
+    ASSERT_TRUE(session.connected());
+    constexpr int kOps = 40;
+    std::vector<uint64_t> tokens;
+    for (Key key = 1; key <= kOps; ++key)
+        tokens.push_back(session.writeAsync(key, test::strCat("q", key)));
+    for (size_t i = 0; i < tokens.size(); ++i) {
+        auto result = session.wait(tokens[i]);
+        ASSERT_TRUE(result.has_value());
+        EXPECT_TRUE(result->completed) << "key " << i + 1;
+        EXPECT_EQ(result->status, net::ClientReplyMsg::Status::Ok)
+            << "key " << i + 1 << " (shard "
+            << app::shardOfKey(i + 1, kShards) << ")";
+    }
+    EXPECT_EQ(session.numShards(), kShards);
 }
 
 TEST(Sessions, ServerStopsReadingOverLimitSession)
@@ -405,10 +452,14 @@ TEST(Sessions, DISABLED_FailOverPastACrashedFirstReplica)
 {
     // Known defect, kept visible until it is fixed: TcpCluster::crash
     // keeps the crashed replica's listener bound so restart() can reuse
-    // it, so connect() to a crashed replica still succeeds. A session
-    // failing over dials the shard's addresses in order; with replica 0
-    // crashed, that dial lands on the dead listener and the session's
-    // ops hang until their deadline instead of reaching replica 1.
+    // it, so connect() to a crashed replica still succeeds. Failing over
+    // dials the shard's addresses in order — the one place that order
+    // lives is KvSessionClient::connFor, which KvClient shares — and
+    // with replica 0 crashed that dial lands on the dead listener, so
+    // the session's ops hang until their deadline instead of reaching
+    // replica 1. Closing the listener on crash is not a fix on its own:
+    // a restarting replica's full-mesh re-dial gives up (fatal) after
+    // 2 s of refused connects while another replica is still down.
     net::TcpConfig config;
     config.basePort = kBasePort + 144;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
